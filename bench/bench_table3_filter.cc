@@ -51,12 +51,13 @@ void FilterTheorem(benchmark::State& state) {
       return Keep(row, selectivity);
     });
     filter.Open();
-    RowRef ref;
+    RowBlock block(fixture.schema.total_columns());
     Ovc sum = 0;
     uint64_t rows = 0;
-    while (filter.Next(&ref)) {
-      sum ^= ref.ovc;
-      ++rows;
+    uint32_t n;
+    while ((n = filter.NextBatch(&block)) > 0) {
+      for (uint32_t i = 0; i < n; ++i) sum ^= block.code(i);
+      rows += n;
     }
     filter.Close();
     benchmark::DoNotOptimize(sum);

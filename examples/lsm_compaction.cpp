@@ -23,14 +23,15 @@ void Query(const char* label, LsmForest* forest, QueryCounters* counters) {
   auto scan = forest->ScanAll();
   InStreamAggregate agg(scan.get(), /*group_prefix=*/2, {{AggFn::kCount, 0}},
                         counters);
-  agg.Open();
+  BlockReader reader(&agg);
+  reader.Open();
   RowRef ref;
   uint64_t groups = 0, rows = 0;
-  while (agg.Next(&ref)) {
+  while (reader.Next(&ref)) {
     ++groups;
     rows += ref.cols[2];
   }
-  agg.Close();
+  reader.Close();
   std::printf("%s: %lu rows in %lu groups across %lu runs\n", label,
               static_cast<unsigned long>(rows),
               static_cast<unsigned long>(groups),

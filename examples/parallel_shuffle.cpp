@@ -65,17 +65,18 @@ int main() {
   options.threaded = false;  // partitions share the child operator
   MergeExchange merge(worker_outputs, &counters, options);
 
-  merge.Open();
+  BlockReader reader(&merge);
+  reader.Open();
   OvcStreamChecker checker(&merge.schema());
   RowRef ref;
   uint64_t groups = 0, rows = 0;
   bool valid = true;
-  while (merge.Next(&ref)) {
+  while (reader.Next(&ref)) {
     valid = checker.Observe(ref.cols, ref.ovc) && valid;
     ++groups;
     rows += ref.cols[3];
   }
-  merge.Close();
+  reader.Close();
 
   std::printf("input rows:             %lu\n",
               static_cast<unsigned long>(config.rows));

@@ -17,9 +17,11 @@
 //    nanoseconds once per process, because a steady_clock read per NextBatch
 //    would already cost several percent of the hot batched pipeline. Even
 //    rdtsc is not free in context (it stalls on in-flight loads), so the
-//    wrapper times a deterministic sample of Next/NextBatch calls -- all of
-//    the first kTimeWarmupCalls, then every kTimeSampleEvery-th -- and the
-//    per-node time is the sampled time scaled to the full call count.
+//    wrapper times a deterministic sample of NextBatch calls -- all of the
+//    first kTimeWarmupCalls, then every kTimeSampleEvery-th. The per-node
+//    time is the warmup calls' exact time plus the later sample's time
+//    scaled to the number of later calls, so a first pull that does its
+//    whole input's work is counted once, not once per sampling factor.
 //    Queries short enough to matter for correctness tests stay inside the
 //    warmup and are timed exactly; long queries get a sampled estimate and
 //    the hot batched path stays within the <=2% instrumentation budget
@@ -75,10 +77,10 @@ inline uint64_t ProfileTicks() {
 /// against steady_clock once per process (lazily, on first use).
 uint64_t TicksToNs(uint64_t ticks);
 
-/// Timing-sample policy for the Next/NextBatch path: the first
-/// kTimeWarmupCalls calls per wrapper are always timed (short queries --
-/// and tests -- get exact times), after that every kTimeSampleEvery-th.
-/// Powers of two; the wrapper masks with kTimeSampleEvery - 1.
+/// Timing-sample policy for NextBatch: the first kTimeWarmupCalls calls per
+/// wrapper are always timed (short queries -- and tests -- get exact
+/// times), after that every kTimeSampleEvery-th. Powers of two; the wrapper
+/// masks with kTimeSampleEvery - 1.
 inline constexpr uint64_t kTimeWarmupCalls = 32;
 inline constexpr uint64_t kTimeSampleEvery = 16;
 
@@ -87,20 +89,22 @@ inline constexpr uint64_t kTimeSampleEvery = 16;
 /// plain uint64_t fields suffice; cross-thread aggregation happens in
 /// QueryProfile::FinishRun after every producer thread has joined.
 struct OperatorStats {
-  /// Rows this operator emitted (Next successes + NextBatch rows).
+  /// Rows this operator emitted.
   uint64_t rows_out = 0;
-  /// Non-empty batches emitted through NextBatch.
+  /// Non-empty batches emitted.
   uint64_t batches_out = 0;
-  /// Inclusive wall ticks inside Open / Close (always timed) and inside
-  /// the *timed sample* of Next/NextBatch calls (the operator plus
-  /// everything below it on the same thread).
+  /// Inclusive wall ticks (the operator plus everything below it on the
+  /// same thread) inside Open / Close, always timed.
   uint64_t open_ticks = 0;
-  uint64_t next_ticks = 0;
   uint64_t close_ticks = 0;
-  /// Total Next+NextBatch calls, and how many of them were timed into
-  /// next_ticks (warmup + every kTimeSampleEvery-th; see above).
+  /// NextBatch calls: all of them, the warmup ones (each timed, exactly,
+  /// into warmup_ticks), and the later ones timed as a sample into
+  /// sample_ticks (every kTimeSampleEvery-th; see above).
   uint64_t next_calls = 0;
-  uint64_t next_timed = 0;
+  uint64_t warmup_calls = 0;
+  uint64_t warmup_ticks = 0;
+  uint64_t sampled_calls = 0;
+  uint64_t sample_ticks = 0;
   /// Work counters attributed to this operator (handed to its constructor
   /// in place of the session/worker counters when profiling is on).
   QueryCounters counters;
@@ -109,23 +113,25 @@ struct OperatorStats {
     rows_out += other.rows_out;
     batches_out += other.batches_out;
     open_ticks += other.open_ticks;
-    next_ticks += other.next_ticks;
     close_ticks += other.close_ticks;
     next_calls += other.next_calls;
-    next_timed += other.next_timed;
+    warmup_calls += other.warmup_calls;
+    warmup_ticks += other.warmup_ticks;
+    sampled_calls += other.sampled_calls;
+    sample_ticks += other.sample_ticks;
     counters.Merge(other.counters);
   }
 
   void Reset() { *this = OperatorStats(); }
 
-  /// next_ticks scaled from the timed sample to all calls. Exact (and
-  /// equal to next_ticks) while every call was timed, i.e. inside the
-  /// warmup window.
+  /// NextBatch ticks: the warmup calls' exact ticks plus the later
+  /// sample scaled to all later calls. Exact inside the warmup window.
   uint64_t scaled_next_ticks() const {
-    if (next_timed == 0 || next_timed == next_calls) return next_ticks;
-    const double scale = static_cast<double>(next_calls) /
-                         static_cast<double>(next_timed);
-    return static_cast<uint64_t>(static_cast<double>(next_ticks) * scale);
+    if (sampled_calls == 0) return warmup_ticks;
+    const double scale = static_cast<double>(next_calls - warmup_calls) /
+                         static_cast<double>(sampled_calls);
+    return warmup_ticks +
+           static_cast<uint64_t>(static_cast<double>(sample_ticks) * scale);
   }
 
   uint64_t total_ticks() const {

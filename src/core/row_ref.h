@@ -13,8 +13,10 @@ namespace ovc {
 /// code relative to the stream's previous row (the stream's first row is
 /// coded relative to "minus infinity", i.e. offset 0).
 ///
-/// The pointed-to columns remain valid until the producing operator's next
-/// Next()/Close() call, mirroring the classic Volcano contract.
+/// The pointed-to columns remain valid until the producer's next pull (for
+/// an operator's stream read through a BlockReader: until the Next() call
+/// that refills the reader's block), mirroring the classic Volcano
+/// contract.
 struct RowRef {
   const uint64_t* cols = nullptr;
   Ovc ovc = 0;

@@ -42,8 +42,7 @@ InStreamAggregate::InStreamAggregate(Operator* child, uint32_t group_prefix,
       group_comparator_(&group_schema_, counters),
       options_(options),
       group_row_(child->schema().total_columns(), 0),
-      agg_state_(aggregates_.size(), 0),
-      out_row_(output_schema_.total_columns(), 0) {
+      agg_state_(aggregates_.size(), 0) {
   OVC_CHECK(group_prefix >= 1);
   OVC_CHECK(group_prefix <= child->schema().key_arity());
   OVC_CHECK(child->sorted());
@@ -57,7 +56,7 @@ InStreamAggregate::InStreamAggregate(Operator* child, uint32_t group_prefix,
 }
 
 void InStreamAggregate::Open() {
-  child_->Open();
+  child_.Open();
   group_open_ = false;
   input_done_ = false;
   groups_ = 0;
@@ -76,7 +75,7 @@ bool InStreamAggregate::IsGroupBoundary(const RowRef& ref) {
 
 void InStreamAggregate::InitGroup(const RowRef& ref) {
   std::memcpy(group_row_.data(), ref.cols,
-              child_->schema().total_columns() * sizeof(uint64_t));
+              child_.schema().total_columns() * sizeof(uint64_t));
   group_code_ = ref.ovc;
   group_rows_ = 0;
   // Seed the aggregate accumulators.
@@ -118,26 +117,29 @@ void InStreamAggregate::Accumulate(const uint64_t* row) {
   }
 }
 
-void InStreamAggregate::EmitGroup(RowRef* out) {
-  std::memcpy(out_row_.data(), group_row_.data(),
-              group_prefix_ * sizeof(uint64_t));
-  std::memcpy(out_row_.data() + group_prefix_, agg_state_.data(),
-              aggregates_.size() * sizeof(uint64_t));
-  out->cols = out_row_.data();
+void InStreamAggregate::EmitGroup(RowBlock* out) {
   // The group's output code is the first input row's code, clamped to the
   // grouping arity ("output rows retain the offset-value codes of the first
   // row in each group"). Available whenever the input carries codes, even
   // when boundary detection runs in baseline mode.
-  out->ovc = child_->has_ovc() ? in_codec_.ClampToPrefix(
-                                     group_code_, group_prefix_, out_codec_)
-                               : 0;
+  uint64_t* dst = out->AppendRow(
+      has_ovc() ? in_codec_.ClampToPrefix(group_code_, group_prefix_,
+                                          out_codec_)
+                : 0);
+  std::memcpy(dst, group_row_.data(), group_prefix_ * sizeof(uint64_t));
+  std::memcpy(dst + group_prefix_, agg_state_.data(),
+              aggregates_.size() * sizeof(uint64_t));
   ++groups_;
 }
 
-bool InStreamAggregate::Next(RowRef* out) {
+uint32_t InStreamAggregate::NextBatch(RowBlock* out) {
+  return FillBlock(out, [this](RowBlock* block) { return AppendNext(block); });
+}
+
+bool InStreamAggregate::AppendNext(RowBlock* out) {
   if (input_done_) return false;
   RowRef ref;
-  while (child_->Next(&ref)) {
+  while (child_.Next(&ref)) {
     if (!group_open_) {
       InitGroup(ref);
       Accumulate(ref.cols);

@@ -61,11 +61,11 @@ class InStreamAggregate : public Operator {
                                  size_t num_aggregates);
 
   void Open() override;
-  bool Next(RowRef* out) override;
-  void Close() override { child_->Close(); }
+  uint32_t NextBatch(RowBlock* out) override;
+  void Close() override { child_.Close(); }
   const Schema& schema() const override { return output_schema_; }
   bool sorted() const override { return true; }
-  bool has_ovc() const override { return child_->has_ovc(); }
+  bool has_ovc() const override { return child_.input()->has_ovc(); }
 
   /// Groups emitted so far.
   uint64_t groups() const { return groups_; }
@@ -73,10 +73,12 @@ class InStreamAggregate : public Operator {
  private:
   void InitGroup(const RowRef& ref);
   void Accumulate(const uint64_t* row);
-  void EmitGroup(RowRef* out);
+  void EmitGroup(RowBlock* out);
   bool IsGroupBoundary(const RowRef& ref);
+  /// Appends the next group's output row to `out`; false at end of stream.
+  bool AppendNext(RowBlock* out);
 
-  Operator* child_;
+  BlockReader child_;
   uint32_t group_prefix_;
   std::vector<AggregateSpec> aggregates_;
   Schema output_schema_;
@@ -88,7 +90,6 @@ class InStreamAggregate : public Operator {
 
   std::vector<uint64_t> group_row_;   // current group's first input row
   std::vector<uint64_t> agg_state_;   // running aggregate accumulators
-  std::vector<uint64_t> out_row_;     // written only when a group is emitted
   Ovc group_code_ = 0;  // first-in-group input code
   uint64_t group_rows_ = 0;
   bool group_open_ = false;

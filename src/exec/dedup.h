@@ -24,23 +24,25 @@ class DedupOperator : public Operator {
     OVC_CHECK(child->sorted() && child->has_ovc());
   }
 
-  void Open() override { child_->Open(); }
+  void Open() override { child_.Open(); }
 
-  bool Next(RowRef* out) override {
-    RowRef ref;
-    while (child_->Next(&ref)) {
-      if (codec_.IsDuplicate(ref.ovc)) {
-        ++duplicates_dropped_;
-        continue;  // offset == arity: a duplicate, detected code-only
+  uint32_t NextBatch(RowBlock* out) override {
+    return FillBlock(out, [this](RowBlock* block) {
+      RowRef ref;
+      while (child_.Next(&ref)) {
+        if (codec_.IsDuplicate(ref.ovc)) {
+          ++duplicates_dropped_;
+          continue;  // offset == arity: a duplicate, detected code-only
+        }
+        block->Append(ref.cols, ref.ovc);
+        return true;
       }
-      *out = ref;
-      return true;
-    }
-    return false;
+      return false;
+    });
   }
 
-  void Close() override { child_->Close(); }
-  const Schema& schema() const override { return child_->schema(); }
+  void Close() override { child_.Close(); }
+  const Schema& schema() const override { return child_.schema(); }
   bool sorted() const override { return true; }
   bool has_ovc() const override { return true; }
 
@@ -48,7 +50,7 @@ class DedupOperator : public Operator {
   uint64_t duplicates_dropped() const { return duplicates_dropped_; }
 
  private:
-  Operator* child_;
+  BlockReader child_;
   OvcCodec codec_;
   uint64_t duplicates_dropped_ = 0;
 };

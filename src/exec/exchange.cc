@@ -21,7 +21,6 @@ class SplitPartitionStreamImpl : public Operator {
         has_ovc_(has_ovc) {}
 
   void Open() override;
-  bool Next(RowRef* out) override;
   uint32_t NextBatch(RowBlock* out) override;
   void Close() override;
   const Schema& schema() const override { return *schema_; }
@@ -48,9 +47,6 @@ class SplitPartitionStream {
   static void Close(SplitExchange* ex, uint32_t index) {
     ex->StreamClose(index);
   }
-  static bool Next(SplitExchange* ex, uint32_t index, RowRef* out) {
-    return ex->NextRow(index, out);
-  }
   static uint32_t NextBatch(SplitExchange* ex, uint32_t index, RowBlock* out) {
     return ex->NextRows(index, out);
   }
@@ -60,10 +56,6 @@ namespace {
 
 void SplitPartitionStreamImpl::Open() {
   SplitPartitionStream::Open(exchange_, index_);
-}
-
-bool SplitPartitionStreamImpl::Next(RowRef* out) {
-  return SplitPartitionStream::Next(exchange_, index_, out);
 }
 
 uint32_t SplitPartitionStreamImpl::NextBatch(RowBlock* out) {
@@ -198,18 +190,6 @@ void SplitExchange::PumpUntilLocked(uint32_t want, size_t min_rows) {
   }
 }
 
-bool SplitExchange::NextRow(uint32_t index, RowRef* out) {
-  MutexLock lock(mu_);
-  PumpUntilLocked(index, 1);
-  auto& state = *states_[index];
-  const uint64_t* row = nullptr;
-  Ovc code = 0;
-  if (!state.Pop(&row, &code)) return false;
-  out->cols = row;
-  out->ovc = code;
-  return true;
-}
-
 uint32_t SplitExchange::NextRows(uint32_t index, RowBlock* out) {
   MutexLock lock(mu_);
   out->Clear();
@@ -254,7 +234,7 @@ void BoundedBatchQueue::Cancel() {
 
 /// MergeSource fed by a producer thread's batch queue.
 ///
-/// RowRef lifetime (see exec/operator.h): popping the next batch frees the
+/// Row lifetime (see exec/operator.h): popping the next batch frees the
 /// previous one, so a row pointer handed out here dies on the very next
 /// Next() call that crosses a batch boundary. Consumers that keep a row
 /// (the merge's loser tree keeps one candidate per input between pulls;
@@ -356,9 +336,10 @@ void MergeExchange::Open() {
     }
   } else {
     for (Operator* in : inputs_) {
-      in->Open();
-      sources_.push_back(std::make_unique<OperatorMergeSource>(in));
-      raw_sources.push_back(sources_.back().get());
+      auto reader = std::make_unique<BlockReader>(in);
+      reader->Open();
+      raw_sources.push_back(reader.get());
+      sources_.push_back(std::move(reader));
     }
     inline_inputs_open_ = true;
   }
@@ -368,12 +349,6 @@ void MergeExchange::Open() {
     plain_merger_ = std::make_unique<PlainMerger>(&codec_, &comparator_,
                                                   raw_sources);
   }
-}
-
-bool MergeExchange::Next(RowRef* out) {
-  if (merger_ != nullptr) return merger_->Next(out);
-  if (plain_merger_ != nullptr) return plain_merger_->Next(out);
-  return false;
 }
 
 uint32_t MergeExchange::NextBatch(RowBlock* out) {

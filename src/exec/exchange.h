@@ -81,9 +81,8 @@ class SplitExchange {
  private:
   friend class SplitPartitionStream;
 
-  /// Per-partition buffered rows. Chunked so that row pointers handed to a
-  /// consumer stay valid while other partitions keep buffering (a plain
-  /// growable buffer would reallocate under the merger's feet).
+  /// Per-partition buffered rows. Chunked so that consumed rows are freed
+  /// chunk by chunk while the partition keeps buffering.
   struct PartitionState {
     static constexpr size_t kChunkRows = 256;
 
@@ -92,7 +91,7 @@ class SplitExchange {
     void Push(const uint64_t* row, Ovc code) {
       if (chunks.empty() || chunks.back().size() >= kChunkRows) {
         chunks.emplace_back(width);
-        // Reserve so appends never reallocate: pointers stay stable.
+        // Reserve so appends never reallocate.
         chunks.back().Reserve(kChunkRows);
       }
       chunks.back().Append(row, code);
@@ -136,8 +135,6 @@ class SplitExchange {
   /// least `min_rows` rows or the child is exhausted. Caller holds mu_.
   void PumpUntilLocked(uint32_t want, size_t min_rows) OVC_REQUIRES(mu_);
   uint32_t RouteOf(const uint64_t* row) OVC_REQUIRES(mu_);
-  /// One-row pull used by SplitPartitionStream.
-  bool NextRow(uint32_t index, RowRef* out) OVC_EXCLUDES(mu_);
   /// Block pull: fills `out` with up to its capacity rows of partition
   /// `index` (copied out of the partition buffers).
   uint32_t NextRows(uint32_t index, RowBlock* out) OVC_EXCLUDES(mu_);
@@ -230,7 +227,6 @@ class MergeExchange : public Operator {
   ~MergeExchange() override;
 
   void Open() override;
-  bool Next(RowRef* out) override;
   uint32_t NextBatch(RowBlock* out) override;
   void Close() override;
   const Schema& schema() const override { return inputs_[0]->schema(); }

@@ -11,28 +11,6 @@
 
 namespace ovc {
 
-namespace {
-
-/// MergeSource over a finished ExternalSort (the collapser's inner
-/// stream). The sort's RowRef stays valid until the next pull, matching
-/// the MergeSource contract.
-class SortMergeSource final : public MergeSource {
- public:
-  explicit SortMergeSource(ExternalSort* sort) : sort_(sort) {}
-  bool Next(const uint64_t** row, Ovc* code) override {
-    RowRef ref;
-    if (!sort_->Next(&ref)) return false;
-    *row = ref.cols;
-    *code = ref.ovc;
-    return true;
-  }
-
- private:
-  ExternalSort* sort_;
-};
-
-}  // namespace
-
 Schema HashAggregate::MakeOutputSchema(const Schema& in, uint32_t group_prefix,
                                        size_t num_aggregates) {
   std::vector<SortDirection> dirs;
@@ -223,7 +201,10 @@ void HashAggregate::FinishSortMergeFallback() {
         break;
     }
   }
-  fb_sort_source_ = std::make_unique<SortMergeSource>(fb_sort_.get());
+  // The sort's rows stay valid until the next pull, matching the
+  // MergeSource contract.
+  fb_sort_source_ =
+      std::make_unique<ProducerSource<ExternalSort>>(fb_sort_.get());
   fb_collapse_ = std::make_unique<CollapsingSource>(
       fb_state_schema_.get(), std::move(fns), fb_sort_source_.get());
 }
@@ -249,9 +230,10 @@ void HashAggregate::Open() {
   OvcCodec codec(&in);
   std::vector<std::unique_ptr<RunFileWriter>> writers;
   std::vector<std::string> paths;
-  child_->Open();
+  BlockReader input(child_);
+  input.Open();
   RowRef ref;
-  while (child_->Next(&ref)) {
+  while (input.Next(&ref)) {
     if (fell_back_) {
       AddInputRowToFallback(ref.cols);
       continue;
@@ -271,7 +253,7 @@ void HashAggregate::Open() {
         paths[p] = temp_->NewPath("hagg-part");
         Status st = writers[p]->Open(paths[p]);
         if (!st.ok()) {
-          child_->Close();
+          input.Close();
           Degrade(st);
           return;
         }
@@ -280,12 +262,12 @@ void HashAggregate::Open() {
     const uint32_t p = PartitionOf(ref.cols, /*level=*/0);
     Status st = writers[p]->Append(ref.cols, codec.MakeFromRow(ref.cols, 0));
     if (!st.ok()) {
-      child_->Close();
+      input.Close();
       Degrade(st);
       return;
     }
   }
-  child_->Close();
+  input.Close();
   if (fell_back_) {
     FinishSortMergeFallback();
     return;
@@ -350,26 +332,25 @@ bool HashAggregate::ProcessNextPartition() {
   return false;
 }
 
-bool HashAggregate::Next(RowRef* out) {
-  if (failed_) return false;
+uint32_t HashAggregate::NextBatch(RowBlock* out) {
+  out->Clear();
+  if (failed_) return 0;
   if (fell_back_) {
-    const uint64_t* row = nullptr;
-    Ovc code = 0;
-    if (!fb_collapse_->Next(&row, &code)) return false;
-    // Collapsed state rows ARE output rows (group keys + merged
-    // accumulators) and stay valid until the next pull.
-    out->cols = row;
-    out->ovc = 0;  // this operator's contract: unordered, no codes
-    return true;
-  }
-  while (true) {
-    if (queue_pos_ < output_queue_.size()) {
-      out->cols = output_queue_.row(queue_pos_++);
-      out->ovc = 0;
+    return FillBlock(out, [this](RowBlock* block) {
+      const uint64_t* row = nullptr;
+      Ovc code = 0;
+      if (!fb_collapse_->Next(&row, &code)) return false;
+      // Collapsed state rows ARE output rows (group keys + merged
+      // accumulators); this operator's contract: unordered, no codes.
+      block->Append(row, 0);
       return true;
-    }
-    if (!ProcessNextPartition()) return false;
+    });
   }
+  while (queue_pos_ >= output_queue_.size()) {
+    if (!ProcessNextPartition()) return 0;
+  }
+  // The queue stays put until the next pull: serve it zero-copy.
+  return ServeRows(output_queue_, &queue_pos_, out);
 }
 
 void HashAggregate::Close() {

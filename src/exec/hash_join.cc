@@ -45,7 +45,7 @@ class SortedSortView final : public Operator {
   SortedSortView(const Schema* schema, ExternalSort* sort)
       : schema_(schema), sort_(sort) {}
   void Open() override {}
-  bool Next(RowRef* out) override { return sort_->Next(out); }
+  uint32_t NextBatch(RowBlock* out) override { return sort_->NextBlock(out); }
   void Close() override {}
   const Schema& schema() const override { return *schema_; }
   bool sorted() const override { return true; }
@@ -69,7 +69,7 @@ Schema BindPrefixSchema(const Schema& probe, uint32_t total_columns,
 }  // namespace
 
 Schema OrderPreservingHashJoin::MakeOutputSchema() const {
-  const Schema& ps = probe_->schema();
+  const Schema& ps = probe_.schema();
   if (type_ == JoinTypeHash::kLeftSemi || type_ == JoinTypeHash::kLeftAnti) {
     return ps;
   }
@@ -91,9 +91,7 @@ OrderPreservingHashJoin::OrderPreservingHashJoin(
       output_schema_(MakeOutputSchema()),
       probe_codec_(&probe->schema()),
       counters_(counters),
-      build_rows_(build->schema().total_columns()),
-      probe_row_copy_(probe->schema().total_columns(), 0),
-      out_row_(output_schema_.total_columns(), 0) {
+      build_rows_(build->schema().total_columns()) {
   OVC_CHECK(probe->sorted() && probe->has_ovc());
   OVC_CHECK(bind_columns >= 1);
   OVC_CHECK(bind_columns <= probe->schema().key_arity());
@@ -101,33 +99,34 @@ OrderPreservingHashJoin::OrderPreservingHashJoin(
 }
 
 void OrderPreservingHashJoin::BuildTable() {
-  build_->Open();
+  BlockReader build(build_);
+  build.Open();
   RowRef ref;
-  while (build_->Next(&ref)) {
+  while (build.Next(&ref)) {
     // Section 4.9's precondition: the build side must fit in memory.
     OVC_CHECK(build_rows_.size() < memory_rows_);
     table_.emplace(HashKeyPrefix(ref.cols, bind_columns_, counters_),
                    static_cast<uint32_t>(build_rows_.size()));
     build_rows_.AppendRow(ref.cols);
   }
-  build_->Close();
+  build.Close();
 }
 
 void OrderPreservingHashJoin::Open() {
   build_rows_.Clear();
   table_.clear();
   BuildTable();
-  probe_->Open();
+  probe_.Open();
   acc_.Reset();
   emitting_ = false;
 }
 
 void OrderPreservingHashJoin::EmitCombined(const uint64_t* probe_row,
                                            const uint64_t* build_row, Ovc code,
-                                           RowRef* out) {
-  const Schema& ps = probe_->schema();
+                                           RowBlock* out) {
+  const Schema& ps = probe_.schema();
   const Schema& bs = build_->schema();
-  uint64_t* dst = out_row_.data();
+  uint64_t* dst = out->AppendRow(code);
   std::memcpy(dst, probe_row, ps.total_columns() * sizeof(uint64_t));
   uint64_t* p = dst + ps.total_columns();
   if (build_row != nullptr) {
@@ -137,25 +136,29 @@ void OrderPreservingHashJoin::EmitCombined(const uint64_t* probe_row,
   }
   p += bs.total_columns();
   *p = build_row != nullptr ? 3 : 1;
-  out->cols = dst;
-  out->ovc = code;
 }
 
-bool OrderPreservingHashJoin::Next(RowRef* out) {
+uint32_t OrderPreservingHashJoin::NextBatch(RowBlock* out) {
+  return FillBlock(out, [this](RowBlock* block) { return AppendNext(block); });
+}
+
+bool OrderPreservingHashJoin::AppendNext(RowBlock* out) {
   while (true) {
+    // pref_ stays valid while its matches are emitted: the probe is not
+    // pulled again until they are all out.
     if (emitting_) {
       if (match_idx_ < matches_.size()) {
         const Ovc code = match_idx_ == 0 ? probe_code_
                                          : probe_codec_.DuplicateCode();
-        EmitCombined(probe_row_copy_.data(),
-                     build_rows_.row(matches_[match_idx_]), code, out);
+        EmitCombined(pref_.cols, build_rows_.row(matches_[match_idx_]), code,
+                     out);
         ++match_idx_;
         return true;
       }
       emitting_ = false;
     }
 
-    if (!probe_->Next(&pref_)) return false;
+    if (!probe_.Next(&pref_)) return false;
 
     // Probe the table: gather matching build rows.
     matches_.clear();
@@ -177,10 +180,7 @@ bool OrderPreservingHashJoin::Next(RowRef* out) {
           acc_.Absorb(pref_.ovc);
           continue;
         }
-        std::memcpy(out_row_.data(), pref_.cols,
-                    probe_->schema().total_columns() * sizeof(uint64_t));
-        out->cols = out_row_.data();
-        out->ovc = acc_.Combine(pref_.ovc);
+        out->Append(pref_.cols, acc_.Combine(pref_.ovc));
         acc_.Reset();
         return true;
       }
@@ -198,11 +198,9 @@ bool OrderPreservingHashJoin::Next(RowRef* out) {
     // Inner with matches, or left outer.
     probe_code_ = acc_.Combine(pref_.ovc);
     acc_.Reset();
-    std::memcpy(probe_row_copy_.data(), pref_.cols,
-                probe_->schema().total_columns() * sizeof(uint64_t));
     if (!match) {
       // Left outer, no match: single null-padded row.
-      EmitCombined(probe_row_copy_.data(), nullptr, probe_code_, out);
+      EmitCombined(pref_.cols, nullptr, probe_code_, out);
       return true;
     }
     match_idx_ = 0;
@@ -210,7 +208,7 @@ bool OrderPreservingHashJoin::Next(RowRef* out) {
   }
 }
 
-void OrderPreservingHashJoin::Close() { probe_->Close(); }
+void OrderPreservingHashJoin::Close() { probe_.Close(); }
 
 Schema GraceHashJoin::MakeOutputSchema() const {
   const Schema& ps = probe_->schema();
@@ -240,8 +238,7 @@ GraceHashJoin::GraceHashJoin(Operator* probe, Operator* build,
       counters_(counters),
       temp_(temp),
       resident_build_(build->schema().total_columns()),
-      output_queue_(output_schema_.total_columns()),
-      out_row_(output_schema_.total_columns(), 0) {
+      output_queue_(output_schema_.total_columns()) {
   OVC_CHECK(type == JoinTypeHash::kInner || type == JoinTypeHash::kLeftSemi);
   OVC_CHECK(partitions >= 2);
 }
@@ -301,20 +298,20 @@ void GraceHashJoin::BeginSortMergeFallback() {
   table_.clear();
 }
 
-void GraceHashJoin::FinishSortMergeFallback() {
+void GraceHashJoin::FinishSortMergeFallback(BlockReader* probe) {
   Status st = fb_build_sort_->Finish();
   if (!st.ok()) {
-    probe_->Close();
+    probe->Close();
     Degrade(st);
     return;
   }
   fb_probe_sort_ = std::make_unique<ExternalSort>(
       fb_probe_schema_.get(), counters_, temp_, sort_config_);
   RowRef ref;
-  while (probe_->Next(&ref)) {
+  while (probe->Next(&ref)) {
     fb_probe_sort_->Add(ref.cols);
   }
-  probe_->Close();
+  probe->Close();
   st = fb_probe_sort_->Finish();
   if (!st.ok()) {
     Degrade(st);
@@ -329,7 +326,8 @@ void GraceHashJoin::FinishSortMergeFallback() {
       type_ == JoinTypeHash::kLeftSemi ? JoinType::kLeftSemi
                                        : JoinType::kInner,
       counters_);
-  fb_join_->Open();
+  fb_rows_ = std::make_unique<BlockReader>(fb_join_.get());
+  fb_rows_->Open();
 }
 
 void GraceHashJoin::Degrade(const Status& status) {
@@ -345,6 +343,7 @@ void GraceHashJoin::Open() {
   table_.clear();
   fell_back_ = false;
   failed_ = false;
+  fb_rows_.reset();
   fb_join_.reset();
   fb_probe_view_.reset();
   fb_build_view_.reset();
@@ -354,12 +353,13 @@ void GraceHashJoin::Open() {
   // Consume the build side; if it fits, keep it resident, otherwise
   // degrade per the fallback policy (sort+merge continuation, or classic
   // grace partitioning to temporary storage).
-  build_->Open();
+  BlockReader build(build_);
+  build.Open();
   RowRef ref;
   bool build_fits = true;
   std::vector<std::unique_ptr<RunFileWriter>> build_writers;
   std::vector<std::string> build_paths;
-  while (build_->Next(&ref)) {
+  while (build.Next(&ref)) {
     if (build_fits &&
         (resident_build_.size() >= memory_rows_ ||
          OVC_FAILPOINT("grace_hash_join.force_overflow"))) {
@@ -376,7 +376,7 @@ void GraceHashJoin::Open() {
           build_paths[p] = temp_->NewPath("ghj-build");
           Status st = build_writers[p]->Open(build_paths[p]);
           if (!st.ok()) {
-            build_->Close();
+            build.Close();
             Degrade(st);
             return;
           }
@@ -387,7 +387,7 @@ void GraceHashJoin::Open() {
           const uint32_t p = PartitionOf(row, /*level=*/0);
           Status st = build_writers[p]->Append(row, codec.MakeFromRow(row, 0));
           if (!st.ok()) {
-            build_->Close();
+            build.Close();
             Degrade(st);
             return;
           }
@@ -407,27 +407,28 @@ void GraceHashJoin::Open() {
       Status st =
           build_writers[p]->Append(ref.cols, codec.MakeFromRow(ref.cols, 0));
       if (!st.ok()) {
-        build_->Close();
+        build.Close();
         Degrade(st);
         return;
       }
     }
   }
-  build_->Close();
+  build.Close();
   in_memory_ = build_fits;
 
-  probe_->Open();
+  BlockReader probe(probe_);
+  probe.Open();
   if (in_memory_) {
     // Stream the probe side against the resident table; queue results.
-    while (probe_->Next(&ref)) {
+    while (probe.Next(&ref)) {
       JoinResident(resident_build_, ref.cols);
     }
-    probe_->Close();
+    probe.Close();
     return;
   }
 
   if (fell_back_) {
-    FinishSortMergeFallback();
+    FinishSortMergeFallback(&probe);
     return;
   }
 
@@ -440,23 +441,23 @@ void GraceHashJoin::Open() {
     probe_paths[p] = temp_->NewPath("ghj-probe");
     Status st = probe_writers[p]->Open(probe_paths[p]);
     if (!st.ok()) {
-      probe_->Close();
+      probe.Close();
       Degrade(st);
       return;
     }
   }
   OvcCodec probe_codec(&probe_->schema());
-  while (probe_->Next(&ref)) {
+  while (probe.Next(&ref)) {
     const uint32_t p = PartitionOf(ref.cols, /*level=*/0);
     Status st =
         probe_writers[p]->Append(ref.cols, probe_codec.MakeFromRow(ref.cols, 0));
     if (!st.ok()) {
-      probe_->Close();
+      probe.Close();
       Degrade(st);
       return;
     }
   }
-  probe_->Close();
+  probe.Close();
   for (uint32_t p = 0; p < partitions_; ++p) {
     Status st = build_writers[p]->Close();
     if (st.ok()) st = probe_writers[p]->Close();
@@ -515,13 +516,6 @@ void GraceHashJoin::Repartition(const PartitionPair& pair) {
   if (!st.ok()) Degrade(st);
 }
 
-bool GraceHashJoin::ServeQueued(RowRef* out) {
-  if (queue_pos_ >= output_queue_.size()) return false;
-  out->cols = output_queue_.row(queue_pos_++);
-  out->ovc = 0;
-  return true;
-}
-
 bool GraceHashJoin::ProcessNextPartition() {
   while (!pending_.empty() && !failed_) {
     PartitionPair pair = pending_.back();
@@ -572,11 +566,12 @@ bool GraceHashJoin::ProcessNextPartition() {
   return false;
 }
 
-bool GraceHashJoin::NextFallback(RowRef* out) {
+bool GraceHashJoin::AppendFallback(RowBlock* out) {
   RowRef ref;
-  if (!fb_join_->Next(&ref)) return false;
+  if (!fb_rows_->Next(&ref)) return false;
   const uint32_t ps_total = probe_->schema().total_columns();
-  uint64_t* dst = out_row_.data();
+  // This operator's contract: unordered, no codes.
+  uint64_t* dst = out->AppendRow(0);
   if (type_ == JoinTypeHash::kLeftSemi) {
     // Passthrough on both layouts: columns line up exactly.
     std::memcpy(dst, ref.cols, ps_total * sizeof(uint64_t));
@@ -593,26 +588,29 @@ bool GraceHashJoin::NextFallback(RowRef* out) {
                 (bs_total - bind_columns_) * sizeof(uint64_t));
     dst[ps_total + bs_total] = 3;
   }
-  out->cols = dst;
-  out->ovc = 0;  // this operator's contract: unordered, no codes
   return true;
 }
 
-bool GraceHashJoin::Next(RowRef* out) {
-  if (failed_) return false;
-  if (fell_back_) return NextFallback(out);
-  while (true) {
-    if (ServeQueued(out)) return true;
-    if (in_memory_) return false;
-    if (!ProcessNextPartition()) return false;
+uint32_t GraceHashJoin::NextBatch(RowBlock* out) {
+  out->Clear();
+  if (failed_) return 0;
+  if (fell_back_) {
+    return FillBlock(out,
+                     [this](RowBlock* block) { return AppendFallback(block); });
   }
+  while (queue_pos_ >= output_queue_.size()) {
+    if (in_memory_ || !ProcessNextPartition()) return 0;
+  }
+  // The queue stays put until the next pull: serve it zero-copy.
+  return ServeRows(output_queue_, &queue_pos_, out);
 }
 
 void GraceHashJoin::Close() {
   output_queue_.Clear();
   resident_build_.Clear();
   table_.clear();
-  if (fb_join_ != nullptr) fb_join_->Close();
+  if (fb_rows_ != nullptr) fb_rows_->Close();
+  fb_rows_.reset();
   fb_join_.reset();
   fb_probe_view_.reset();
   fb_build_view_.reset();

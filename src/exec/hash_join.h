@@ -54,7 +54,7 @@ class OrderPreservingHashJoin : public Operator {
                           uint64_t memory_rows, QueryCounters* counters);
 
   void Open() override;
-  bool Next(RowRef* out) override;
+  uint32_t NextBatch(RowBlock* out) override;
   void Close() override;
   const Schema& schema() const override { return output_schema_; }
   bool sorted() const override { return true; }
@@ -63,10 +63,12 @@ class OrderPreservingHashJoin : public Operator {
  private:
   Schema MakeOutputSchema() const;
   void BuildTable();
+  /// Appends the next output row to `out`; false at end of stream.
+  bool AppendNext(RowBlock* out);
   void EmitCombined(const uint64_t* probe_row, const uint64_t* build_row,
-                    Ovc code, RowRef* out);
+                    Ovc code, RowBlock* out);
 
-  Operator* probe_;
+  BlockReader probe_;
   Operator* build_;
   uint32_t bind_columns_;
   JoinTypeHash type_;
@@ -84,8 +86,6 @@ class OrderPreservingHashJoin : public Operator {
   size_t match_idx_ = 0;
   Ovc probe_code_ = 0;
   bool emitting_ = false;
-  std::vector<uint64_t> probe_row_copy_;
-  std::vector<uint64_t> out_row_;
 };
 
 /// Grace hash join baseline: unordered output, no codes, spills both inputs
@@ -113,7 +113,7 @@ class GraceHashJoin : public Operator {
                 SortConfig sort_config = SortConfig{});
 
   void Open() override;
-  bool Next(RowRef* out) override;
+  uint32_t NextBatch(RowBlock* out) override;
   void Close() override;
   const Schema& schema() const override { return output_schema_; }
   bool sorted() const override { return false; }
@@ -129,7 +129,6 @@ class GraceHashJoin : public Operator {
   Schema MakeOutputSchema() const;
   /// Joins one resident (build RowBuffer) against a probe iterator.
   void JoinResident(const RowBuffer& build, const uint64_t* probe_row);
-  bool ServeQueued(RowRef* out);
   bool ProcessNextPartition();
   /// Level-salted hash partition (recursion splits colliding keys).
   uint32_t PartitionOf(const uint64_t* row, uint32_t level);
@@ -140,10 +139,12 @@ class GraceHashJoin : public Operator {
   /// ExternalSort keyed on the bind columns (the rest of the build stream
   /// follows via Add in Open's consume loop).
   void BeginSortMergeFallback();
-  /// Sorts the probe stream and stands up the MergeJoin continuation.
-  void FinishSortMergeFallback();
-  /// Serves one continuation row, remapped to this operator's layout.
-  bool NextFallback(RowRef* out);
+  /// Sorts the (opened) probe stream and stands up the MergeJoin
+  /// continuation.
+  void FinishSortMergeFallback(BlockReader* probe);
+  /// Appends one continuation row, remapped to this operator's layout, to
+  /// `out`; false at end of stream.
+  bool AppendFallback(RowBlock* out);
   /// Records `status` in the temp manager's error slot and stops output.
   void Degrade(const Status& status);
 
@@ -179,8 +180,7 @@ class GraceHashJoin : public Operator {
   std::unique_ptr<Operator> fb_probe_view_;
   std::unique_ptr<Operator> fb_build_view_;
   std::unique_ptr<MergeJoin> fb_join_;
-
-  std::vector<uint64_t> out_row_;
+  std::unique_ptr<BlockReader> fb_rows_;  // reads fb_join_
 };
 
 }  // namespace ovc

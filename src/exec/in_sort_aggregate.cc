@@ -37,6 +37,8 @@ class FileSink : public RunSink {
   Status status_ = Status::Ok();
 };
 
+using RunMerger = OvcMergerT<RunFileReader>;
+
 }  // namespace
 
 Schema InSortAggregate::MakeStateSchema(const Schema& in,
@@ -141,25 +143,14 @@ Status InSortAggregate::PrepareMerge() {
         continue;
       }
       std::vector<std::unique_ptr<RunFileReader>> readers;
-      std::vector<MergeSource*> sources;
+      std::vector<RunFileReader*> sources;
       for (size_t i = 0; i < count; ++i) {
         readers.push_back(std::make_unique<RunFileReader>(&state_schema_, temp_));
         OVC_RETURN_IF_ERROR(readers.back()->Open(runs_[begin + i].path));
         sources.push_back(readers.back().get());
       }
-      OvcMerger merger(&codec_, &comparator_, sources);
-      // Adapt the merger to a MergeSource for the collapser.
-      struct MergerSource : MergeSource {
-        explicit MergerSource(OvcMerger* m) : merger(m) {}
-        bool Next(const uint64_t** row, Ovc* code) override {
-          RowRef ref;
-          if (!merger->Next(&ref)) return false;
-          *row = ref.cols;
-          *code = ref.ovc;
-          return true;
-        }
-        OvcMerger* merger;
-      } merger_source(&merger);
+      RunMerger merger(&codec_, &comparator_, sources);
+      ProducerSource<RunMerger> merger_source(&merger);
       CollapsingSource collapser(&state_schema_, merge_fns_, &merger_source);
       RunFileWriter writer(&state_schema_, counters_);
       const std::string path = temp_->NewPath("isa-merge");
@@ -176,27 +167,16 @@ Status InSortAggregate::PrepareMerge() {
   }
 
   // Final merge, collapsed on the fly.
-  std::vector<MergeSource*> sources;
+  std::vector<RunFileReader*> sources;
   for (const SpilledRun& run : runs_) {
     readers_.push_back(std::make_unique<RunFileReader>(&state_schema_, temp_));
     OVC_RETURN_IF_ERROR(readers_.back()->Open(run.path));
     sources.push_back(readers_.back().get());
   }
-  merger_ = std::make_unique<OvcMerger>(&codec_, &comparator_, sources);
-  struct FinalMergerSource : MergeSource {
-    explicit FinalMergerSource(OvcMerger* m) : merger(m) {}
-    bool Next(const uint64_t** row, Ovc* code) override {
-      RowRef ref;
-      if (!merger->Next(&ref)) return false;
-      *row = ref.cols;
-      *code = ref.ovc;
-      return true;
-    }
-    OvcMerger* merger;
-  };
-  final_merger_source_ = std::make_unique<FinalMergerSource>(merger_.get());
+  merger_ = std::make_unique<RunMerger>(&codec_, &comparator_, sources);
+  merger_source_ = std::make_unique<ProducerSource<RunMerger>>(merger_.get());
   collapsing_output_ = std::make_unique<CollapsingSource>(
-      &state_schema_, merge_fns_, final_merger_source_.get());
+      &state_schema_, merge_fns_, merger_source_.get());
   return Status::Ok();
 }
 
@@ -215,21 +195,22 @@ void InSortAggregate::Open() {
   collapsing_output_.reset();
   failed_ = false;
 
-  child_->Open();
+  BlockReader input(child_);
+  input.Open();
   RowRef ref;
-  while (child_->Next(&ref)) {
+  while (input.Next(&ref)) {
     TransformRow(ref.cols);
     buffer_.AppendRow(state_row_.data());
     if (buffer_.size() >= config_.memory_rows) {
       const Status st = SpillBuffer();
       if (!st.ok()) {
-        child_->Close();
+        input.Close();
         Degrade(st);
         return;
       }
     }
   }
-  child_->Close();
+  input.Close();
 
   if (runs_.empty()) {
     memory_run_ = std::make_unique<InMemoryRun>(state_schema_.total_columns());
@@ -243,27 +224,33 @@ void InSortAggregate::Open() {
   if (!st.ok()) Degrade(st);
 }
 
-bool InSortAggregate::Next(RowRef* out) {
-  if (failed_) return false;
-  const uint64_t* row = nullptr;
-  Ovc code = 0;
+uint32_t InSortAggregate::NextBatch(RowBlock* out) {
+  out->Clear();
+  if (failed_) return 0;
   if (memory_source_ != nullptr) {
-    if (!memory_source_->Next(&row, &code)) return false;
-  } else if (collapsing_output_ != nullptr) {
-    if (!collapsing_output_->Next(&row, &code)) return false;
-  } else {
-    return false;
+    // In-memory result: serve contiguous spans of the run zero-copy.
+    const uint64_t* rows = nullptr;
+    const Ovc* codes = nullptr;
+    const uint32_t n = memory_source_->NextSpan(&rows, &codes,
+                                                out->capacity());
+    if (n > 0) out->RefContiguous(rows, codes, n);
+    return n;
   }
-  out->cols = row;
-  out->ovc = code;
-  return true;
+  if (collapsing_output_ == nullptr) return 0;
+  return FillBlock(out, [this](RowBlock* block) {
+    const uint64_t* row = nullptr;
+    Ovc code = 0;
+    if (!collapsing_output_->Next(&row, &code)) return false;
+    block->Append(row, code);
+    return true;
+  });
 }
 
 void InSortAggregate::Close() {
   memory_run_.reset();
   memory_source_.reset();
   collapsing_output_.reset();
-  final_merger_source_.reset();
+  merger_source_.reset();
   merger_.reset();
   readers_.clear();
 }

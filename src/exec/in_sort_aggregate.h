@@ -45,7 +45,7 @@ class InSortAggregate : public Operator {
                   SortConfig config = SortConfig());
 
   void Open() override;
-  bool Next(RowRef* out) override;
+  uint32_t NextBatch(RowBlock* out) override;
   void Close() override;
   const Schema& schema() const override { return state_schema_; }
   bool sorted() const override { return true; }
@@ -84,8 +84,8 @@ class InSortAggregate : public Operator {
   std::unique_ptr<InMemoryRun> memory_run_;
   std::unique_ptr<InMemoryRunSource> memory_source_;
   std::vector<std::unique_ptr<RunFileReader>> readers_;
-  std::unique_ptr<OvcMerger> merger_;
-  std::unique_ptr<MergeSource> final_merger_source_;
+  std::unique_ptr<OvcMergerT<RunFileReader>> merger_;
+  std::unique_ptr<MergeSource> merger_source_;
   std::unique_ptr<CollapsingSource> collapsing_output_;
 };
 

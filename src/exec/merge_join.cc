@@ -58,8 +58,7 @@ MergeJoin::MergeJoin(Operator* left, Operator* right, JoinType type,
       comparator_(&left->schema(), counters),
       counters_(counters),
       right_group_(right->schema().total_columns()),
-      left_row_copy_(left->schema().total_columns()),
-      out_row_(output_schema_.total_columns(), 0) {
+      left_row_copy_(left->schema().total_columns()) {
   OVC_CHECK(left->sorted() && left->has_ovc());
   OVC_CHECK(right->sorted() && right->has_ovc());
   // Join keys: both inputs sorted on the same key layout.
@@ -70,8 +69,8 @@ MergeJoin::MergeJoin(Operator* left, Operator* right, JoinType type,
 }
 
 void MergeJoin::Open() {
-  left_->Open();
-  right_->Open();
+  left_.Open();
+  right_.Open();
   AdvanceLeft();
   AdvanceRight();
   acc_.Reset();
@@ -79,12 +78,12 @@ void MergeJoin::Open() {
 }
 
 void MergeJoin::Close() {
-  left_->Close();
-  right_->Close();
+  left_.Close();
+  right_.Close();
 }
 
 void MergeJoin::AdvanceLeft() {
-  l_valid_ = left_->Next(&lref_);
+  l_valid_ = left_.Next(&lref_);
   if (!l_valid_) {
     lref_.cols = nullptr;
     lref_.ovc = OvcCodec::LateFence();
@@ -92,7 +91,7 @@ void MergeJoin::AdvanceLeft() {
 }
 
 void MergeJoin::AdvanceRight() {
-  r_valid_ = right_->Next(&rref_);
+  r_valid_ = right_.Next(&rref_);
   if (!r_valid_) {
     rref_.cols = nullptr;
     rref_.ovc = OvcCodec::LateFence();
@@ -122,11 +121,12 @@ void MergeJoin::SkipRightGroup() {
 }
 
 void MergeJoin::EmitCombined(const uint64_t* left_row,
-                             const uint64_t* right_row, Ovc code, RowRef* out) {
-  const Schema& ls = left_->schema();
-  const Schema& rs = right_->schema();
+                             const uint64_t* right_row, Ovc code,
+                             RowBlock* out) {
+  const Schema& ls = left_.schema();
+  const Schema& rs = right_.schema();
   const uint32_t arity = ls.key_arity();
-  uint64_t* dst = out_row_.data();
+  uint64_t* dst = out->AppendRow(code);
   // Coalesced join key (the paper's virtual column for outer joins).
   std::memcpy(dst, left_row != nullptr ? left_row : right_row,
               arity * sizeof(uint64_t));
@@ -147,18 +147,13 @@ void MergeJoin::EmitCombined(const uint64_t* left_row,
                 rs.payload_columns() * sizeof(uint64_t));
   }
   dst[arity + ls.payload_columns() + rs.payload_columns()] = indicator;
-  out->cols = dst;
-  out->ovc = code;
 }
 
-void MergeJoin::EmitPassthrough(const uint64_t* row, uint32_t total_columns,
-                                Ovc code, RowRef* out) {
-  std::memcpy(out_row_.data(), row, total_columns * sizeof(uint64_t));
-  out->cols = out_row_.data();
-  out->ovc = code;
+uint32_t MergeJoin::NextBatch(RowBlock* out) {
+  return FillBlock(out, [this](RowBlock* block) { return AppendNext(block); });
 }
 
-bool MergeJoin::Next(RowRef* out) {
+bool MergeJoin::AppendNext(RowBlock* out) {
   while (true) {
     switch (state_) {
       case State::kDone:
@@ -179,8 +174,7 @@ bool MergeJoin::Next(RowRef* out) {
             const Ovc code = acc_.Combine(lref_.ovc);
             acc_.Reset();
             if (IsPassthrough()) {
-              EmitPassthrough(lref_.cols,
-                              left_->schema().total_columns(), code, out);
+              out->Append(lref_.cols, code);
             } else {
               EmitCombined(lref_.cols, nullptr, code, out);
             }
@@ -197,8 +191,7 @@ bool MergeJoin::Next(RowRef* out) {
             const Ovc code = acc_.Combine(rref_.ovc);
             acc_.Reset();
             if (IsPassthrough()) {
-              EmitPassthrough(rref_.cols,
-                              right_->schema().total_columns(), code, out);
+              out->Append(rref_.cols, code);
             } else {
               EmitCombined(nullptr, rref_.cols, code, out);
             }
@@ -251,8 +244,7 @@ bool MergeJoin::Next(RowRef* out) {
           const Ovc code = group_first_pending_ ? group_code_
                                                 : out_codec_.DuplicateCode();
           group_first_pending_ = false;
-          EmitPassthrough(left_row_copy_.row(0),
-                          left_->schema().total_columns(), code, out);
+          out->Append(left_row_copy_.row(0), code);
           AdvanceLeft();
           if (l_valid_ && key_codec_.IsDuplicate(lref_.ovc)) {
             left_row_copy_.Clear();
@@ -291,8 +283,7 @@ bool MergeJoin::Next(RowRef* out) {
         const Ovc code = group_first_pending_ ? group_code_
                                               : out_codec_.DuplicateCode();
         group_first_pending_ = false;
-        EmitPassthrough(right_group_.row(right_idx_),
-                        right_->schema().total_columns(), code, out);
+        out->Append(right_group_.row(right_idx_), code);
         ++right_idx_;
         return true;
       }

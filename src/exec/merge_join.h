@@ -74,7 +74,7 @@ class MergeJoin : public Operator {
                                  JoinType type);
 
   void Open() override;
-  bool Next(RowRef* out) override;
+  uint32_t NextBatch(RowBlock* out) override;
   void Close() override;
   const Schema& schema() const override { return output_schema_; }
   bool sorted() const override { return true; }
@@ -90,12 +90,11 @@ class MergeJoin : public Operator {
   /// Skips all remaining rows of the current left/right key group.
   void SkipLeftGroup();
   void SkipRightGroup();
-  /// Emits a combined row into out_row_.
+  /// Appends the next output row to `out`; false at end of stream.
+  bool AppendNext(RowBlock* out);
+  /// Appends a combined row (inner/outer layouts) to `out`.
   void EmitCombined(const uint64_t* left_row, const uint64_t* right_row,
-                    Ovc code, RowRef* out);
-  /// Emits a passthrough row (semi/anti) into out_row_.
-  void EmitPassthrough(const uint64_t* row, uint32_t total_columns, Ovc code,
-                       RowRef* out);
+                    Ovc code, RowBlock* out);
 
   bool WantLeftOnly() const {
     return type_ == JoinType::kLeftOuter || type_ == JoinType::kFullOuter ||
@@ -113,8 +112,8 @@ class MergeJoin : public Operator {
            type_ == JoinType::kRightSemi || type_ == JoinType::kRightAnti;
   }
 
-  Operator* left_;
-  Operator* right_;
+  BlockReader left_;
+  BlockReader right_;
   JoinType type_;
   Schema output_schema_;
   OvcCodec key_codec_;   // over the left schema (join keys match)
@@ -133,7 +132,6 @@ class MergeJoin : public Operator {
   RowBuffer right_group_;
   size_t right_idx_ = 0;
   RowBuffer left_row_copy_;
-  std::vector<uint64_t> out_row_;
 };
 
 }  // namespace ovc

@@ -63,7 +63,7 @@ bool RunLookupSource::Next(const uint64_t** row, Ovc* code) {
 }
 
 Schema NestedLoopsJoin::MakeOutputSchema() const {
-  const Schema& os = outer_->schema();
+  const Schema& os = outer_.schema();
   if (type_ == JoinTypeNlj::kLeftSemi || type_ == JoinTypeNlj::kLeftAnti) {
     return os;
   }
@@ -94,14 +94,13 @@ NestedLoopsJoin::NestedLoopsJoin(Operator* outer, LookupSource* inner,
       out_codec_(&output_schema_),
       counters_(counters),
       outer_group_(outer->schema().total_columns()),
-      inner_row_copy_(inner->schema().total_columns(), 0),
-      out_row_(output_schema_.total_columns(), 0) {
+      inner_row_copy_(inner->schema().total_columns(), 0) {
   OVC_CHECK(outer->sorted() && outer->has_ovc());
 }
 
 void NestedLoopsJoin::Open() {
-  outer_->Open();
-  o_valid_ = outer_->Next(&oref_);
+  outer_.Open();
+  o_valid_ = outer_.Next(&oref_);
   acc_.Reset();
   state_ = o_valid_ ? State::kNextGroup : State::kDone;
 }
@@ -111,7 +110,7 @@ void NestedLoopsJoin::CollectOuterGroup() {
   outer_group_.AppendRow(oref_.cols);
   group_code_ = oref_.ovc;  // raw first-of-group code; combined lazily
   while (true) {
-    o_valid_ = outer_->Next(&oref_);
+    o_valid_ = outer_.Next(&oref_);
     if (!o_valid_ || !outer_codec_.IsDuplicate(oref_.ovc)) break;
     outer_group_.AppendRow(oref_.cols);
   }
@@ -126,10 +125,10 @@ Ovc NestedLoopsJoin::LiftOuterCode(Ovc code) const {
 
 void NestedLoopsJoin::EmitCombined(const uint64_t* outer_row,
                                    const uint64_t* inner_row, Ovc code,
-                                   RowRef* out) {
-  const Schema& os = outer_->schema();
+                                   RowBlock* out) {
+  const Schema& os = outer_.schema();
   const Schema& is = inner_->schema();
-  uint64_t* dst = out_row_.data();
+  uint64_t* dst = out->AppendRow(code);
   std::memcpy(dst, outer_row, os.key_arity() * sizeof(uint64_t));
   uint64_t* p = dst + os.key_arity();
   if (inner_row != nullptr) {
@@ -149,11 +148,13 @@ void NestedLoopsJoin::EmitCombined(const uint64_t* outer_row,
   }
   p += is.payload_columns();
   *p = inner_row != nullptr ? 3 : 1;  // match indicator
-  out->cols = dst;
-  out->ovc = code;
 }
 
-bool NestedLoopsJoin::Next(RowRef* out) {
+uint32_t NestedLoopsJoin::NextBatch(RowBlock* out) {
+  return FillBlock(out, [this](RowBlock* block) { return AppendNext(block); });
+}
+
+bool NestedLoopsJoin::AppendNext(RowBlock* out) {
   while (true) {
     switch (state_) {
       case State::kDone:
@@ -223,7 +224,7 @@ bool NestedLoopsJoin::Next(RowRef* out) {
           // A new inner row within the group: the inner code, lifted by the
           // outer sort key's size (Section 4.8).
           code = out_codec_.Make(
-              outer_->schema().key_arity() + inner_codec_.OffsetOf(inner_code_),
+              outer_.schema().key_arity() + inner_codec_.OffsetOf(inner_code_),
               OvcCodec::ValueOf(inner_code_));
         } else {
           code = out_codec_.DuplicateCode();
@@ -254,10 +255,7 @@ bool NestedLoopsJoin::Next(RowRef* out) {
         if (type_ == JoinTypeNlj::kLeftOuter) {
           EmitCombined(outer_group_.row(emit_idx_), nullptr, code, out);
         } else {
-          std::memcpy(out_row_.data(), outer_group_.row(emit_idx_),
-                      outer_->schema().total_columns() * sizeof(uint64_t));
-          out->cols = out_row_.data();
-          out->ovc = code;
+          out->Append(outer_group_.row(emit_idx_), code);
         }
         ++emit_idx_;
         return true;

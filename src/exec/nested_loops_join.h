@@ -92,8 +92,8 @@ class NestedLoopsJoin : public Operator {
                   QueryCounters* counters);
 
   void Open() override;
-  bool Next(RowRef* out) override;
-  void Close() override { outer_->Close(); }
+  uint32_t NextBatch(RowBlock* out) override;
+  void Close() override { outer_.Close(); }
   const Schema& schema() const override { return output_schema_; }
   bool sorted() const override { return true; }
   bool has_ovc() const override { return true; }
@@ -104,13 +104,15 @@ class NestedLoopsJoin : public Operator {
 
   Schema MakeOutputSchema() const;
   void CollectOuterGroup();
+  /// Appends the next output row to `out`; false at end of stream.
+  bool AppendNext(RowBlock* out);
   void EmitCombined(const uint64_t* outer_row, const uint64_t* inner_row,
-                    Ovc code, RowRef* out);
+                    Ovc code, RowBlock* out);
   /// Re-packs an outer-schema code word into the (wider) output schema:
   /// same offset, same value, different arity field.
   Ovc LiftOuterCode(Ovc code) const;
 
-  Operator* outer_;
+  BlockReader outer_;
   LookupSource* inner_;
   JoinTypeNlj type_;
   bool extended_;  // inner keys join the output sort key
@@ -135,7 +137,6 @@ class NestedLoopsJoin : public Operator {
   size_t outer_idx_ = 0;
   size_t emit_idx_ = 0;
   bool any_match_ = false;
-  std::vector<uint64_t> out_row_;
 };
 
 }  // namespace ovc

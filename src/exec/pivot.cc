@@ -25,8 +25,7 @@ PivotOperator::PivotOperator(Operator* child, uint32_t group_prefix,
           MakeOutputSchema(child->schema(), group_prefix, tags_.size())),
       in_codec_(&child->schema()),
       out_codec_(&output_schema_),
-      state_row_(output_schema_.total_columns(), 0),
-      out_row_(output_schema_.total_columns(), 0) {
+      state_row_(output_schema_.total_columns(), 0) {
   OVC_CHECK(child->sorted() && child->has_ovc());
   OVC_CHECK(group_prefix >= 1);
   OVC_CHECK(group_prefix <= child->schema().key_arity());
@@ -36,7 +35,7 @@ PivotOperator::PivotOperator(Operator* child, uint32_t group_prefix,
 }
 
 void PivotOperator::Open() {
-  child_->Open();
+  child_.Open();
   group_open_ = false;
   input_done_ = false;
 }
@@ -60,17 +59,19 @@ void PivotOperator::Accumulate(const uint64_t* row) {
   // Unknown tag: ignored.
 }
 
-void PivotOperator::EmitGroup(RowRef* out) {
-  std::memcpy(out_row_.data(), state_row_.data(),
-              output_schema_.total_columns() * sizeof(uint64_t));
-  out->cols = out_row_.data();
-  out->ovc = in_codec_.ClampToPrefix(group_code_, group_prefix_, out_codec_);
+void PivotOperator::EmitGroup(RowBlock* out) {
+  out->Append(state_row_.data(),
+              in_codec_.ClampToPrefix(group_code_, group_prefix_, out_codec_));
 }
 
-bool PivotOperator::Next(RowRef* out) {
+uint32_t PivotOperator::NextBatch(RowBlock* out) {
+  return FillBlock(out, [this](RowBlock* block) { return AppendNext(block); });
+}
+
+bool PivotOperator::AppendNext(RowBlock* out) {
   if (input_done_) return false;
   RowRef ref;
-  while (child_->Next(&ref)) {
+  while (child_.Next(&ref)) {
     if (!group_open_) {
       InitGroup(ref);
       Accumulate(ref.cols);

@@ -2,15 +2,15 @@
 // inserts around every operator the planner builds (PlannerOptions::profile).
 //
 // The wrapper forwards the full Operator contract unchanged -- schema,
-// sorted()/has_ovc(), the RowRef/RowBlock lifetime rules -- and meters the
-// wrapped operator from the outside: inclusive wall ticks around
-// Open/Next/NextBatch/Close plus rows and batches produced. The Next /
-// NextBatch path times a deterministic sample of its calls (every call
-// through the warmup window, then every kTimeSampleEvery-th); rows and
-// batches are counted on every call. OperatorStats::scaled_next_ticks()
-// scales the sampled time back to the full call count, which keeps the
-// instrumentation within its <=2% budget on hot batched pipelines even on
-// machines where a tick read stalls the out-of-order window. Counter
+// sorted()/has_ovc(), the RowBlock lifetime rule -- and meters the wrapped
+// operator from the outside: inclusive wall ticks around
+// Open/NextBatch/Close plus rows and batches produced. NextBatch times a
+// deterministic sample of its calls (every call through the warmup window,
+// then every kTimeSampleEvery-th); rows and batches are counted on every
+// call. OperatorStats::scaled_next_ticks() scales the post-warmup sample
+// back to the post-warmup call count, which keeps the instrumentation
+// within its <=2% budget on hot batched pipelines even on machines where a
+// tick read stalls the out-of-order window. Counter
 // attribution needs no wrapper logic at all: when profiling, the planner
 // hands each operator's constructor the QueryCounters slice of its profile
 // node instead of the shared session/worker instance, so comparisons,
@@ -45,31 +45,27 @@ class ProfiledOperator final : public Operator {
     stats_->open_ticks += ProfileTicks() - t0;
   }
 
-  bool Next(RowRef* out) override {
-    if (!TimeThisCall()) {
-      const bool ok = child_->Next(out);
-      stats_->rows_out += ok ? 1 : 0;
-      return ok;
-    }
-    const uint64_t t0 = ProfileTicks();
-    const bool ok = child_->Next(out);
-    stats_->next_ticks += ProfileTicks() - t0;
-    ++stats_->next_timed;
-    stats_->rows_out += ok ? 1 : 0;
-    return ok;
-  }
-
   uint32_t NextBatch(RowBlock* out) override {
-    if (!TimeThisCall()) {
-      const uint32_t n = child_->NextBatch(out);
-      stats_->rows_out += n;
-      stats_->batches_out += n > 0 ? 1 : 0;
-      return n;
+    // The deterministic timing sample: every call while the stream is
+    // short (tests and small queries get exact times), then every
+    // kTimeSampleEvery-th.
+    const uint64_t seq = stats_->next_calls++;
+    const bool warmup = seq < kTimeWarmupCalls;
+    uint32_t n;
+    if (!warmup && (seq & (kTimeSampleEvery - 1)) != 0) {
+      n = child_->NextBatch(out);
+    } else {
+      const uint64_t t0 = ProfileTicks();
+      n = child_->NextBatch(out);
+      const uint64_t ticks = ProfileTicks() - t0;
+      if (warmup) {
+        ++stats_->warmup_calls;
+        stats_->warmup_ticks += ticks;
+      } else {
+        ++stats_->sampled_calls;
+        stats_->sample_ticks += ticks;
+      }
     }
-    const uint64_t t0 = ProfileTicks();
-    const uint32_t n = child_->NextBatch(out);
-    stats_->next_ticks += ProfileTicks() - t0;
-    ++stats_->next_timed;
     stats_->rows_out += n;
     stats_->batches_out += n > 0 ? 1 : 0;
     return n;
@@ -86,14 +82,6 @@ class ProfiledOperator final : public Operator {
   bool has_ovc() const override { return child_->has_ovc(); }
 
  private:
-  /// The deterministic timing sample: every call while the stream is short
-  /// (tests and small queries get exact times), then every
-  /// kTimeSampleEvery-th. Also advances the call counter.
-  bool TimeThisCall() {
-    const uint64_t seq = stats_->next_calls++;
-    return seq < kTimeWarmupCalls || (seq & (kTimeSampleEvery - 1)) == 0;
-  }
-
   Operator* child_;
   OperatorStats* stats_;
 };

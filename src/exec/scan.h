@@ -22,23 +22,10 @@ class BufferScan : public Operator {
   }
 
   void Open() override { pos_ = 0; }
-  bool Next(RowRef* out) override {
-    if (pos_ >= buffer_->size()) return false;
-    out->cols = buffer_->row(pos_++);
-    out->ovc = 0;
-    return true;
-  }
   uint32_t NextBatch(RowBlock* out) override {
-    out->Clear();
-    const size_t avail = buffer_->size() - pos_;
-    const uint32_t n = static_cast<uint32_t>(
-        avail < out->capacity() ? avail : out->capacity());
-    if (n == 0) return 0;
     // RowBuffer rows are contiguous and stable for the scan's lifetime:
-    // serve the span zero-copy (codes are all zero for an unsorted scan).
-    out->RefContiguous(buffer_->row(pos_), nullptr, n);
-    pos_ += n;
-    return n;
+    // serve them zero-copy (codes are all zero for an unsorted scan).
+    return ServeRows(*buffer_, &pos_, out);
   }
   void Close() override {}
   const Schema& schema() const override { return *schema_; }
@@ -63,13 +50,6 @@ class RunScan : public Operator {
   }
 
   void Open() override { pos_ = 0; }
-  bool Next(RowRef* out) override {
-    if (pos_ >= run_->size()) return false;
-    out->cols = run_->row(pos_);
-    out->ovc = run_->code(pos_);
-    ++pos_;
-    return true;
-  }
   uint32_t NextBatch(RowBlock* out) override {
     out->Clear();
     const size_t avail = run_->size() - pos_;

@@ -20,8 +20,8 @@ SetOperation::SetOperation(Operator* left, Operator* right, SetOpType type,
 }
 
 void SetOperation::Open() {
-  left_->Open();
-  right_->Open();
+  left_.Open();
+  right_.Open();
   AdvanceLeft();
   AdvanceRight();
   acc_.Reset();
@@ -29,12 +29,12 @@ void SetOperation::Open() {
 }
 
 void SetOperation::Close() {
-  left_->Close();
-  right_->Close();
+  left_.Close();
+  right_.Close();
 }
 
 void SetOperation::AdvanceLeft() {
-  l_valid_ = left_->Next(&lref_);
+  l_valid_ = left_.Next(&lref_);
   if (!l_valid_) {
     lref_.cols = nullptr;
     lref_.ovc = OvcCodec::LateFence();
@@ -42,7 +42,7 @@ void SetOperation::AdvanceLeft() {
 }
 
 void SetOperation::AdvanceRight() {
-  r_valid_ = right_->Next(&rref_);
+  r_valid_ = right_.Next(&rref_);
   if (!r_valid_) {
     rref_.cols = nullptr;
     rref_.ovc = OvcCodec::LateFence();
@@ -90,17 +90,17 @@ uint64_t SetOperation::CopiesFor(uint64_t nl, uint64_t nr) const {
   return 0;
 }
 
-bool SetOperation::Next(RowRef* out) {
+uint32_t SetOperation::NextBatch(RowBlock* out) {
+  return FillBlock(out, [this](RowBlock* block) { return AppendNext(block); });
+}
+
+bool SetOperation::AppendNext(RowBlock* out) {
   while (true) {
     if (pending_copies_ > 0) {
       --pending_copies_;
-      out->cols = group_row_.row(0);
-      if (first_copy_pending_) {
-        out->ovc = group_code_;
-        first_copy_pending_ = false;
-      } else {
-        out->ovc = codec_.DuplicateCode();
-      }
+      out->Append(group_row_.row(0),
+                  first_copy_pending_ ? group_code_ : codec_.DuplicateCode());
+      first_copy_pending_ = false;
       return true;
     }
 

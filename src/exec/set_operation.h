@@ -41,9 +41,9 @@ class SetOperation : public Operator {
                QueryCounters* counters);
 
   void Open() override;
-  bool Next(RowRef* out) override;
+  uint32_t NextBatch(RowBlock* out) override;
   void Close() override;
-  const Schema& schema() const override { return left_->schema(); }
+  const Schema& schema() const override { return left_.schema(); }
   bool sorted() const override { return true; }
   bool has_ovc() const override { return true; }
 
@@ -55,9 +55,11 @@ class SetOperation : public Operator {
   uint64_t CountRightGroup();
   /// Copies to emit for a group of nl left and nr right duplicates.
   uint64_t CopiesFor(uint64_t nl, uint64_t nr) const;
+  /// Appends the next output row to `out`; false at end of stream.
+  bool AppendNext(RowBlock* out);
 
-  Operator* left_;
-  Operator* right_;
+  BlockReader left_;
+  BlockReader right_;
   SetOpType type_;
   bool all_;
   OvcCodec codec_;

@@ -43,8 +43,6 @@ class SortOperator : public Operator {
     }
   }
 
-  bool Next(RowRef* out) override { return !failed_ && sort_->Next(out); }
-
   uint32_t NextBatch(RowBlock* out) override {
     return failed_ ? 0 : sort_->NextBlock(out);
   }

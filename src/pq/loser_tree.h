@@ -89,8 +89,10 @@ class OvcMergerT {
   }
 
   /// Produces the next merged row; its code is relative to the previously
-  /// produced row. Returns false when all inputs are exhausted. The row
-  /// pointer stays valid until the next Next()/destruction.
+  /// produced row. Returns false when all inputs are exhausted -- and keeps
+  /// returning false at no further cost, so the work counted does not
+  /// depend on how often a consumer pulls past the end. The row pointer
+  /// stays valid until the next Next()/destruction.
   bool Next(RowRef* out) {
     if (!started_) {
       started_ = true;
@@ -99,7 +101,7 @@ class OvcMergerT {
       } else {
         winner_ = BuildWinner(1);
       }
-    } else {
+    } else if (OvcCodec::IsValid(winner_.code)) {
       Advance();
     }
     if (!OvcCodec::IsValid(winner_.code)) {
@@ -218,6 +220,26 @@ class OvcMergerT {
 
 /// The polymorphic merger: inputs pulled through the MergeSource vtable.
 using OvcMerger = OvcMergerT<MergeSource>;
+
+/// Adapts a row producer with `bool Next(RowRef*)` -- a merger, a finished
+/// ExternalSort -- to the MergeSource pull interface, e.g. as the input of
+/// a CollapsingSource.
+template <typename Producer>
+class ProducerSource final : public MergeSource {
+ public:
+  explicit ProducerSource(Producer* producer) : producer_(producer) {}
+
+  bool Next(const uint64_t** row, Ovc* code) override {
+    RowRef ref;
+    if (!producer_->Next(&ref)) return false;
+    *row = ref.cols;
+    *code = ref.ovc;
+    return true;
+  }
+
+ private:
+  Producer* producer_;
+};
 
 /// Sorts a batch of rows by building a tree of single-row runs and tearing
 /// it down. Produces output codes as a byproduct of the sort.

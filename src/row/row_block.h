@@ -1,17 +1,17 @@
 // RowBlock: the unit of batched data flow between operators.
 //
 // A RowBlock holds up to `capacity` fixed-width rows in one contiguous
-// stretch plus a parallel array of offset-value codes, so a batched
-// operator amortizes one virtual dispatch (Operator::NextBatch) over the
-// whole block instead of paying one per row (Operator::Next).
+// stretch plus a parallel array of offset-value codes, so an operator
+// pays one virtual dispatch (Operator::NextBatch, the one pull) per block
+// instead of one per row.
 //
-// Stream contract (identical to the row-at-a-time contract): rows appear in
-// stream order and, for sorted-with-codes streams, row i's code is relative
-// to the stream's previous row -- which is row i-1 of the same block, or the
-// *last row of the previous block* for the first row of a block. Codes are
-// therefore valid across block boundaries and a concatenation of blocks is
-// exactly the row-at-a-time stream; OvcStreamChecker can observe the rows of
-// consecutive blocks in order and will accept the stream.
+// Stream contract: rows appear in stream order and, for sorted-with-codes
+// streams, row i's code is relative to the stream's previous row -- which
+// is row i-1 of the same block, or the *last row of the previous block*
+// for the first row of a block. Codes are therefore valid across block
+// boundaries and the concatenation of blocks is the stream, whatever the
+// block capacity; OvcStreamChecker can observe the rows of consecutive
+// blocks in order and will accept the stream.
 //
 // Two serving modes:
 //  * owned -- producers append (copy) rows into the block's own storage,
@@ -26,16 +26,15 @@
 // Clear()/Truncate() only move the size. In borrowed mode, pointers are into
 // the producer's storage and follow its lifetime rules. Either way, a
 // producer refilling a block (NextBatch) invalidates previous contents, so
-// consumers must finish with a block's rows before asking for the next
-// block, mirroring the Volcano rule that a row is valid until the next
-// Next() call.
+// consumers must finish with (or copy) a block's rows before asking for the
+// next block -- the Volcano rule that a row is valid until the next pull.
 
 #ifndef OVC_ROW_ROW_BLOCK_H_
 #define OVC_ROW_ROW_BLOCK_H_
 
 #include <cstdint>
 #include <cstring>
-#include <vector>
+#include <memory>
 
 #include "common/check.h"
 #include "common/ovc_word.h"
@@ -50,14 +49,18 @@ class RowBlock {
   static constexpr uint32_t kDefaultRows = 1024;
 
   /// Creates a block for rows of `width` columns holding up to
-  /// `capacity_rows` rows. All owned storage is allocated here, up front.
+  /// `capacity_rows` rows. All owned storage is allocated here, up front,
+  /// and left uninitialized: every row and code is written before it is
+  /// read, and pages no producer writes -- most of a block that serves a
+  /// short stream -- never become resident.
   explicit RowBlock(uint32_t width, uint32_t capacity_rows = kDefaultRows)
       : width_(width),
         capacity_(capacity_rows),
-        owned_cols_(static_cast<size_t>(width) * capacity_rows),
-        owned_codes_(capacity_rows, 0),
-        cols_(owned_cols_.data()),
-        codes_(owned_codes_.data()) {
+        allocated_(capacity_rows),
+        owned_cols_(new uint64_t[static_cast<size_t>(width) * capacity_rows]),
+        owned_codes_(new Ovc[capacity_rows]),
+        cols_(owned_cols_.get()),
+        codes_(owned_codes_.get()) {
     OVC_CHECK(width >= 1);
     OVC_CHECK(capacity_rows >= 1);
   }
@@ -71,7 +74,7 @@ class RowBlock {
   uint32_t capacity() const { return capacity_; }
   /// Rows allocated at construction (the upper bound for SetCapacity).
   uint32_t allocated_rows() const {
-    return static_cast<uint32_t>(owned_codes_.size());
+    return allocated_;
   }
   uint32_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -89,7 +92,7 @@ class RowBlock {
   uint64_t* mutable_row(uint32_t i) {
     OVC_DCHECK(i < size_);
     OVC_DCHECK(!borrowed_);
-    return owned_cols_.data() + static_cast<size_t>(i) * width_;
+    return owned_cols_.get() + static_cast<size_t>(i) * width_;
   }
 
   /// Code of row `i`.
@@ -120,7 +123,7 @@ class RowBlock {
     OVC_DCHECK(!borrowed_);
     owned_codes_[size_] = code;
     codes_dirty_ = true;
-    return owned_cols_.data() + static_cast<size_t>(size_++) * width_;
+    return owned_cols_.get() + static_cast<size_t>(size_++) * width_;
   }
 
   /// Appends a copy of `src` (width() columns) with code `code`.
@@ -133,7 +136,7 @@ class RowBlock {
   void AppendContiguous(const uint64_t* rows, const Ovc* codes, uint32_t n) {
     OVC_DCHECK(size_ + n <= capacity_);
     OVC_DCHECK(!borrowed_);
-    uint64_t* dst = owned_cols_.data() + static_cast<size_t>(size_) * width_;
+    uint64_t* dst = owned_cols_.get() + static_cast<size_t>(size_) * width_;
     const size_t words = static_cast<size_t>(n) * width_;
     if (words <= 32) {
       // Tiny spans (filters emit many): a plain word loop beats the
@@ -146,10 +149,10 @@ class RowBlock {
       if (n <= 32) {
         for (uint32_t i = 0; i < n; ++i) owned_codes_[size_ + i] = codes[i];
       } else {
-        std::memcpy(owned_codes_.data() + size_, codes, n * sizeof(Ovc));
+        std::memcpy(owned_codes_.get() + size_, codes, n * sizeof(Ovc));
       }
     } else {
-      std::memset(owned_codes_.data() + size_, 0, n * sizeof(Ovc));
+      std::memset(owned_codes_.get() + size_, 0, n * sizeof(Ovc));
     }
     codes_dirty_ = true;
     size_ += n;
@@ -171,11 +174,10 @@ class RowBlock {
         // Clear the whole allocation, not just the current capacity: a
         // SetCapacity-reduced block must not leave stale codes beyond
         // capacity_ that a later, larger zero-code span would expose.
-        std::memset(owned_codes_.data(), 0,
-                    owned_codes_.size() * sizeof(Ovc));
+        std::memset(owned_codes_.get(), 0, allocated_ * sizeof(Ovc));
         codes_dirty_ = false;
       }
-      codes_ = owned_codes_.data();
+      codes_ = owned_codes_.get();
     }
     size_ = n;
     borrowed_ = true;
@@ -185,8 +187,8 @@ class RowBlock {
   void Clear() {
     size_ = 0;
     borrowed_ = false;
-    cols_ = owned_cols_.data();
-    codes_ = owned_codes_.data();
+    cols_ = owned_cols_.get();
+    codes_ = owned_codes_.get();
   }
 
   /// Sets the block's effective capacity to `rows` (1 <= rows <= the
@@ -195,7 +197,7 @@ class RowBlock {
   /// a limit's final partial block -- without reallocating.
   void SetCapacity(uint32_t rows) {
     OVC_DCHECK(rows >= 1);
-    OVC_DCHECK(rows <= owned_codes_.size());
+    OVC_DCHECK(rows <= allocated_);
     OVC_DCHECK(size_ <= rows);
     capacity_ = rows;
   }
@@ -212,11 +214,13 @@ class RowBlock {
   uint32_t capacity_;
   uint32_t size_ = 0;
   bool borrowed_ = false;
+  uint32_t allocated_;
   /// True when owned_codes_ may hold non-zero values (lets RefContiguous
-  /// serve zero codes without re-clearing every time).
-  bool codes_dirty_ = false;
-  std::vector<uint64_t> owned_cols_;
-  std::vector<Ovc> owned_codes_;
+  /// serve zero codes without re-clearing every time); the storage starts
+  /// uninitialized.
+  bool codes_dirty_ = true;
+  std::unique_ptr<uint64_t[]> owned_cols_;
+  std::unique_ptr<Ovc[]> owned_codes_;
   const uint64_t* cols_;
   const Ovc* codes_;
 };

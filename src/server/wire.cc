@@ -114,16 +114,9 @@ void PayloadWriter::PutString(std::string_view s) {
 }
 
 void PayloadWriter::PutCounters(const QueryCounters& c) {
-  PutU64(c.column_comparisons);
-  PutU64(c.code_comparisons);
-  PutU64(c.row_comparisons);
-  PutU64(c.hash_computations);
-  PutU64(c.rows_spilled);
-  PutU64(c.bytes_spilled);
-  PutU64(c.merge_bypass_rows);
-  PutU64(c.hash_join_fallbacks);
-  PutU64(c.hash_agg_fallbacks);
-  PutU64(c.io_retries);
+#define OVC_PUT_COUNTER(field, label, help) PutU64(c.field);
+  OVC_QUERY_COUNTERS(OVC_PUT_COUNTER)
+#undef OVC_PUT_COUNTER
 }
 
 bool PayloadReader::Take(void* out, size_t n) {
@@ -166,11 +159,9 @@ bool PayloadReader::GetString(std::string* s) {
 }
 
 bool PayloadReader::GetCounters(QueryCounters* c) {
-  return GetU64(&c->column_comparisons) && GetU64(&c->code_comparisons) &&
-         GetU64(&c->row_comparisons) && GetU64(&c->hash_computations) &&
-         GetU64(&c->rows_spilled) && GetU64(&c->bytes_spilled) &&
-         GetU64(&c->merge_bypass_rows) && GetU64(&c->hash_join_fallbacks) &&
-         GetU64(&c->hash_agg_fallbacks) && GetU64(&c->io_retries);
+#define OVC_GET_COUNTER(field, label, help) GetU64(&c->field) &&
+  return OVC_QUERY_COUNTERS(OVC_GET_COUNTER) true;
+#undef OVC_GET_COUNTER
 }
 
 }  // namespace ovc::server

@@ -38,31 +38,36 @@ class ForestScan : public Operator {
   void Open() override {
     readers_.clear();
     if (paths_.empty()) return;  // empty forest
-    std::vector<MergeSource*> sources;
+    std::vector<RunFileReader*> sources;
     for (const std::string& path : paths_) {
       readers_.push_back(std::make_unique<RunFileReader>(schema_));
       OVC_CHECK_OK(readers_.back()->Open(path));
       sources.push_back(readers_.back().get());
     }
-    merger_ = std::make_unique<OvcMerger>(&codec_, &comparator_, sources);
+    merger_ = std::make_unique<RunMerger>(&codec_, &comparator_, sources);
     if (collapse_) {
-      merger_source_ = std::make_unique<MergerSource>(merger_.get());
+      merger_source_ =
+          std::make_unique<ProducerSource<RunMerger>>(merger_.get());
       collapser_ = std::make_unique<CollapsingSource>(
           schema_, collapse_fns_, merger_source_.get());
     }
   }
 
-  bool Next(RowRef* out) override {
-    if (merger_ == nullptr) return false;
+  uint32_t NextBatch(RowBlock* out) override {
     if (collapser_ != nullptr) {
-      const uint64_t* row = nullptr;
-      Ovc code = 0;
-      if (!collapser_->Next(&row, &code)) return false;
-      out->cols = row;
-      out->ovc = code;
-      return true;
+      return FillBlock(out, [this](RowBlock* block) {
+        const uint64_t* row = nullptr;
+        Ovc code = 0;
+        if (!collapser_->Next(&row, &code)) return false;
+        block->Append(row, code);
+        return true;
+      });
     }
-    return merger_->Next(out);
+    if (merger_ == nullptr) {
+      out->Clear();
+      return 0;
+    }
+    return merger_->NextBlock(out);
   }
 
   void Close() override {
@@ -77,17 +82,7 @@ class ForestScan : public Operator {
   bool has_ovc() const override { return true; }
 
  private:
-  struct MergerSource : MergeSource {
-    explicit MergerSource(OvcMerger* m) : merger(m) {}
-    bool Next(const uint64_t** row, Ovc* code) override {
-      RowRef ref;
-      if (!merger->Next(&ref)) return false;
-      *row = ref.cols;
-      *code = ref.ovc;
-      return true;
-    }
-    OvcMerger* merger;
-  };
+  using RunMerger = OvcMergerT<RunFileReader>;
 
   const Schema* schema_;
   OvcCodec codec_;
@@ -96,8 +91,8 @@ class ForestScan : public Operator {
   bool collapse_;
   std::vector<StateMergeFn> collapse_fns_;
   std::vector<std::unique_ptr<RunFileReader>> readers_;
-  std::unique_ptr<OvcMerger> merger_;
-  std::unique_ptr<MergerSource> merger_source_;
+  std::unique_ptr<RunMerger> merger_;
+  std::unique_ptr<MergeSource> merger_source_;
   std::unique_ptr<CollapsingSource> collapser_;
 };
 

@@ -71,17 +71,15 @@ class RidListScan : public Operator {
     rid_ = 0;
   }
 
-  bool Next(RowRef* out) override {
-    if (list_ == nullptr || emitted_ >= list_->count) return false;
-    size_t pos = pos_;
-    const uint64_t delta = ReadVarint(list_->bytes, &pos);
-    pos_ = pos;
-    rid_ = emitted_ == 0 ? delta : rid_ + delta;
-    row_ = rid_;
-    out->cols = &row_;
-    out->ovc = codec_.MakeFromRow(&row_, 0);
-    ++emitted_;
-    return true;
+  uint32_t NextBatch(RowBlock* out) override {
+    return FillBlock(out, [this](RowBlock* block) {
+      if (list_ == nullptr || emitted_ >= list_->count) return false;
+      const uint64_t delta = ReadVarint(list_->bytes, &pos_);
+      rid_ = emitted_ == 0 ? delta : rid_ + delta;
+      block->Append(&rid_, codec_.MakeFromRow(&rid_, 0));
+      ++emitted_;
+      return true;
+    });
   }
 
   void Close() override {}
@@ -95,7 +93,6 @@ class RidListScan : public Operator {
   size_t pos_ = 0;
   uint64_t emitted_ = 0;
   uint64_t rid_ = 0;
-  uint64_t row_ = 0;
 };
 
 namespace {
@@ -112,19 +109,23 @@ class RidMergeScan : public Operator {
 
   void Open() override {
     sources_.clear();
-    std::vector<MergeSource*> raw;
+    std::vector<BlockReader*> raw;
     for (auto& scan : scans_) {
-      scan->Open();
-      sources_.push_back(std::make_unique<OperatorMergeSource>(scan.get()));
+      sources_.push_back(std::make_unique<BlockReader>(scan.get()));
+      sources_.back()->Open();
       raw.push_back(sources_.back().get());
     }
-    merger_ = raw.empty()
-                  ? nullptr
-                  : std::make_unique<OvcMerger>(&codec_, &comparator_, raw);
+    merger_ = raw.empty() ? nullptr
+                          : std::make_unique<OvcMergerT<BlockReader>>(
+                                &codec_, &comparator_, raw);
   }
 
-  bool Next(RowRef* out) override {
-    return merger_ != nullptr && merger_->Next(out);
+  uint32_t NextBatch(RowBlock* out) override {
+    if (merger_ == nullptr) {
+      out->Clear();
+      return 0;
+    }
+    return merger_->NextBlock(out);
   }
 
   void Close() override {
@@ -141,8 +142,8 @@ class RidMergeScan : public Operator {
   OvcCodec codec_;
   KeyComparator comparator_;
   std::vector<std::unique_ptr<Operator>> scans_;
-  std::vector<std::unique_ptr<MergeSource>> sources_;
-  std::unique_ptr<OvcMerger> merger_;
+  std::vector<std::unique_ptr<BlockReader>> sources_;
+  std::unique_ptr<OvcMergerT<BlockReader>> merger_;
 };
 
 /// Wraps a MergeJoin and owns it together with its reference to inputs.
@@ -153,7 +154,7 @@ class OwningSemiJoin : public Operator {
                                           counters)) {}
 
   void Open() override { join_->Open(); }
-  bool Next(RowRef* out) override { return join_->Next(out); }
+  uint32_t NextBatch(RowBlock* out) override { return join_->NextBatch(out); }
   void Close() override { join_->Close(); }
   const Schema& schema() const override { return join_->schema(); }
   bool sorted() const override { return true; }

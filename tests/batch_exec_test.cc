@@ -1,23 +1,40 @@
-// Batched execution: RowBlock semantics, the NextBatch default shim,
-// batched operator implementations against their row-at-a-time streams, and
-// block-sized merger output -- all validated with OvcStreamChecker so codes
-// are proven correct across block boundaries.
+// Batched execution: RowBlock semantics, capacity parity of every operator's
+// block stream, the filter's and sort's block paths, and block-sized merger
+// output -- all validated with OvcStreamChecker so codes are proven correct
+// across block boundaries.
 
+#include <functional>
 #include <memory>
+#include <ostream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/profile.h"
 #include "core/ovc_checker.h"
+#include "exec/aggregate.h"
 #include "exec/dedup.h"
+#include "exec/exchange.h"
 #include "exec/filter.h"
+#include "exec/hash_aggregate.h"
+#include "exec/hash_join.h"
+#include "exec/in_sort_aggregate.h"
 #include "exec/limit.h"
+#include "exec/merge_join.h"
+#include "exec/nested_loops_join.h"
+#include "exec/pivot.h"
+#include "exec/profiled_operator.h"
 #include "exec/project.h"
 #include "exec/scan.h"
+#include "exec/set_operation.h"
 #include "exec/sort_operator.h"
 #include "sort/run.h"
 #include "storage/btree.h"
 #include "storage/column_store.h"
+#include "storage/lsm.h"
+#include "storage/rid_index.h"
 #include "tests/test_util.h"
 
 namespace ovc {
@@ -26,18 +43,6 @@ namespace {
 using ::ovc::testing::MakeTable;
 using ::ovc::testing::RowVec;
 using ::ovc::testing::RunFromSorted;
-
-/// Drains `op` row-at-a-time; returns rows and codes.
-void DrainRows(Operator* op, RowVec* rows, std::vector<Ovc>* codes) {
-  const uint32_t width = op->schema().total_columns();
-  op->Open();
-  RowRef ref;
-  while (op->Next(&ref)) {
-    rows->emplace_back(ref.cols, ref.cols + width);
-    codes->push_back(ref.ovc);
-  }
-  op->Close();
-}
 
 /// Drains `op` through NextBatch with block capacity `batch_rows`,
 /// validating the stream with OvcStreamChecker when `check_codes`.
@@ -60,23 +65,6 @@ void DrainBatched(Operator* op, uint32_t batch_rows, bool check_codes,
     }
   }
   op->Close();
-}
-
-/// The batched stream must be byte-identical (rows and codes) to the
-/// row-at-a-time stream. `batch_rows` deliberately small and non-dividing so
-/// many block boundaries fall mid-stream.
-void ExpectBatchedMatchesRowAtATime(Operator* op, uint32_t batch_rows,
-                                    bool check_codes) {
-  RowVec rows_one;
-  std::vector<Ovc> codes_one;
-  DrainRows(op, &rows_one, &codes_one);
-
-  RowVec rows_batch;
-  std::vector<Ovc> codes_batch;
-  DrainBatched(op, batch_rows, check_codes, &rows_batch, &codes_batch);
-
-  EXPECT_EQ(rows_batch, rows_one);
-  EXPECT_EQ(codes_batch, codes_one);
 }
 
 TEST(RowBlock, AppendTruncateAndPointerStability) {
@@ -116,44 +104,401 @@ TEST(RowBlock, AppendTruncateAndPointerStability) {
   EXPECT_EQ(block.code(1), 0u);
 }
 
-TEST(NextBatch, DefaultShimMatchesNextOnUnbatchedOperator) {
-  // DedupOperator has no NextBatch override: the base-class shim must
-  // produce exactly the Next() stream.
-  Schema schema(2, 0);
-  RowBuffer table = MakeTable(schema, 997, 4, /*seed=*/17, /*sorted=*/true);
-  InMemoryRun run = RunFromSorted(schema, table);
-  RunScan scan(&schema, &run);
-  DedupOperator dedup(&scan);
-  ExpectBatchedMatchesRowAtATime(&dedup, 64, /*check_codes=*/true);
+// ---------------------------------------------------------------------------
+// Capacity parity: every operator class, drained at block capacities 1, 3,
+// and the default, must deliver one stream -- the same rows and codes, a
+// stream OvcStreamChecker accepts wherever the operator promises sorted
+// coded output, and the same work counters.
+// ---------------------------------------------------------------------------
+
+/// Owns one operator tree and everything it reads: parts are destroyed in
+/// reverse build order, so consumers go before their inputs.
+class Tree {
+ public:
+  ~Tree() {
+    while (!parts_.empty()) parts_.pop_back();
+  }
+
+  template <typename T, typename... Args>
+  T* Make(Args&&... args) {
+    auto part = std::make_shared<T>(std::forward<Args>(args)...);
+    parts_.push_back(part);
+    return part.get();
+  }
+
+  Operator* Own(std::unique_ptr<Operator> op) {
+    std::shared_ptr<Operator> part(std::move(op));
+    parts_.push_back(part);
+    return part.get();
+  }
+
+  QueryCounters counters;
+  TempFileManager temp;
+
+ private:
+  std::vector<std::shared_ptr<void>> parts_;
+};
+
+/// Read-only inputs shared by every case.
+struct Inputs {
+  Inputs()
+      : s21(2, 1),
+        s31(3, 1),
+        s20(2, 0),
+        unsorted(MakeTable(s21, 1000, 5, /*seed=*/23)),
+        sorted(MakeTable(s21, 1500, 6, /*seed=*/31, /*sorted=*/true)),
+        sorted31(MakeTable(s31, 1234, 4, /*seed=*/29, /*sorted=*/true)),
+        keys_a(MakeTable(s20, 600, 4, /*seed=*/41, /*sorted=*/true)),
+        keys_b(MakeTable(s20, 500, 4, /*seed=*/43, /*sorted=*/true)),
+        join_left(MakeTable(s21, 300, 20, /*seed=*/47, /*sorted=*/true)),
+        join_right(MakeTable(s21, 200, 20, /*seed=*/53, /*sorted=*/true)),
+        join_build(MakeTable(s21, 120, 20, /*seed=*/59)),
+        sparse(MakeTable(s21, 12, 20, /*seed=*/61, /*sorted=*/true)),
+        run(RunFromSorted(s21, sorted)),
+        run31(RunFromSorted(s31, sorted31)),
+        run_a(RunFromSorted(s20, keys_a)),
+        run_b(RunFromSorted(s20, keys_b)),
+        run_left(RunFromSorted(s21, join_left)),
+        run_right(RunFromSorted(s21, join_right)),
+        run_sparse(RunFromSorted(s21, sparse)) {}
+
+  Schema s21, s31, s20;
+  RowBuffer unsorted, sorted, sorted31, keys_a, keys_b;
+  /// Join inputs; `sparse` misses some of the left side's join keys.
+  RowBuffer join_left, join_right, join_build, sparse;
+  InMemoryRun run, run31, run_a, run_b, run_left, run_right, run_sparse;
+};
+
+const Inputs& In() {
+  static const Inputs* inputs = new Inputs();
+  return *inputs;
 }
 
-TEST(NextBatch, BufferScanBlocksMatchRowStream) {
-  Schema schema(2, 1);
-  RowBuffer table = MakeTable(schema, 1000, 5, /*seed=*/23);
-  BufferScan scan(&schema, &table);
-  ExpectBatchedMatchesRowAtATime(&scan, 96, /*check_codes=*/false);
+struct ParityCase {
+  std::string name;
+  std::function<Operator*(Tree*)> build;
+};
+
+void PrintTo(const ParityCase& c, std::ostream* os) { *os << c.name; }
+
+Operator* Scan(Tree* t, const Schema& schema, const InMemoryRun& run) {
+  return t->Make<RunScan>(&schema, &run);
 }
 
-TEST(NextBatch, RunScanBlocksCarryStoredCodesAcrossBoundaries) {
-  Schema schema(3, 1);
-  RowBuffer table = MakeTable(schema, 1234, 4, /*seed=*/29, /*sorted=*/true);
-  InMemoryRun run = RunFromSorted(schema, table);
-  RunScan scan(&schema, &run);
-  // 7-row blocks: ~176 boundaries, each first-row code relative to the last
-  // row of the previous block.
-  ExpectBatchedMatchesRowAtATime(&scan, 7, /*check_codes=*/true);
+Operator* Unsorted(Tree* t, const RowBuffer& table = In().unsorted) {
+  return t->Make<BufferScan>(&In().s21, &table);
 }
 
-TEST(NextBatch, FilterCompactsBlocksAndDerivesCodes) {
-  Schema schema(2, 1);
-  RowBuffer table = MakeTable(schema, 2000, 6, /*seed=*/31, /*sorted=*/true);
-  InMemoryRun run = RunFromSorted(schema, table);
-  RunScan scan(&schema, &run);
-  FilterOperator filter(&scan, [](const uint64_t* row) {
-    return row[1] % 3 != 0;  // drop about a third
-  });
-  ExpectBatchedMatchesRowAtATime(&filter, 50, /*check_codes=*/true);
+SortConfig SpillingConfig() {
+  SortConfig config;
+  config.memory_rows = 100;
+  config.fan_in = 3;  // several runs per level: multi-level merges
+  return config;
 }
+
+ParityCase MergeJoinCase(JoinType type) {
+  return {std::string("merge_join_") + JoinTypeName(type), [type](Tree* t) {
+            return t->Make<MergeJoin>(Scan(t, In().s21, In().run_left),
+                                      Scan(t, In().s21, In().run_right), type,
+                                      &t->counters);
+          }};
+}
+
+ParityCase SetOpCase(const char* name, SetOpType type, bool all) {
+  return {name, [type, all](Tree* t) {
+            return t->Make<SetOperation>(Scan(t, In().s20, In().run_a),
+                                         Scan(t, In().s20, In().run_b), type,
+                                         all, &t->counters);
+          }};
+}
+
+ParityCase NljCase(const char* name, JoinTypeNlj type) {
+  return {name, [type](Tree* t) {
+            LookupSource* inner = t->Make<RunLookupSource>(
+                &In().s21, &In().run_sparse, 1, &t->counters);
+            return t->Make<NestedLoopsJoin>(Scan(t, In().s21, In().run_left),
+                                            inner, type, &t->counters);
+          }};
+}
+
+ParityCase HashJoinCase(const char* name, JoinTypeHash type) {
+  return {name, [type](Tree* t) {
+            return t->Make<OrderPreservingHashJoin>(
+                Scan(t, In().s21, In().run_left), Unsorted(t, In().sparse), 1,
+                type, uint64_t{1} << 20, &t->counters);
+          }};
+}
+
+ParityCase GraceCase(const char* name, JoinTypeHash type, uint64_t memory_rows,
+                     FallbackPolicy fallback) {
+  return {name, [=](Tree* t) {
+            return t->Make<GraceHashJoin>(
+                Unsorted(t, In().join_left), Unsorted(t, In().join_build), 1,
+                type, memory_rows, &t->counters, &t->temp, 4, fallback);
+          }};
+}
+
+ParityCase HashAggCase(const char* name, uint64_t memory_groups,
+                       FallbackPolicy fallback) {
+  return {name, [=](Tree* t) {
+            return t->Make<HashAggregate>(
+                Unsorted(t), 2,
+                std::vector<AggregateSpec>{{AggFn::kCount, 0},
+                                           {AggFn::kSum, 2}},
+                memory_groups, &t->counters, &t->temp, 4, fallback);
+          }};
+}
+
+ParityCase MergeExchangeCase(const char* name, bool threaded) {
+  return {name, [threaded](Tree* t) {
+            MergeExchange::Options options;
+            options.threaded = threaded;
+            options.batch_rows = 64;
+            return t->Make<MergeExchange>(
+                std::vector<Operator*>{Scan(t, In().s21, In().run),
+                                       Scan(t, In().s21, In().run_left),
+                                       Scan(t, In().s21, In().run_right)},
+                &t->counters, options);
+          }};
+}
+
+std::vector<ParityCase> ParityCases() {
+  std::vector<ParityCase> cases = {
+      {"buffer_scan", [](Tree* t) { return Unsorted(t); }},
+      {"run_scan", [](Tree* t) { return Scan(t, In().s31, In().run31); }},
+      {"filter",
+       [](Tree* t) {
+         return t->Make<FilterOperator>(
+             Scan(t, In().s21, In().run),
+             [](const uint64_t* row) { return row[2] % 3 != 0; });
+       }},
+      {"project",
+       [](Tree* t) {
+         // Keeps the 2-column key prefix and swaps the payload in:
+         // order-preserving, codes clamped to the surviving prefix.
+         return t->Make<ProjectOperator>(Scan(t, In().s31, In().run31),
+                                         Schema(2, 1),
+                                         std::vector<uint32_t>{0, 1, 3});
+       }},
+      {"scan_filter_project_limit",
+       [](Tree* t) {
+         Operator* filter = t->Make<FilterOperator>(
+             Scan(t, In().s31, In().run31),
+             [](const uint64_t* row) { return row[2] % 2 == 0; });
+         Operator* project = t->Make<ProjectOperator>(
+             filter, Schema(2, 0), std::vector<uint32_t>{0, 1});
+         return t->Make<LimitOperator>(project, 400);
+       }},
+      {"sort",
+       [](Tree* t) {
+         return t->Make<SortOperator>(Unsorted(t), &t->counters, &t->temp);
+       }},
+      {"sort_spilled",
+       [](Tree* t) {
+         return t->Make<SortOperator>(Unsorted(t), &t->counters, &t->temp,
+                                      SpillingConfig());
+       }},
+      MergeExchangeCase("merge_exchange_threaded", true),
+      MergeExchangeCase("merge_exchange_inline", false),
+      {"split_exchange_partition",
+       [](Tree* t) {
+         SplitExchange* split = t->Make<SplitExchange>(
+             Scan(t, In().s21, In().run), 3,
+             SplitExchange::Policy::kHashKey, &t->counters);
+         return split->partition(1);
+       }},
+      {"btree_scan",
+       [](Tree* t) {
+         BTree* tree = t->Make<BTree>(&In().s21, &t->counters, 16);
+         for (size_t i = 0; i < In().unsorted.size(); ++i) {
+           tree->Insert(In().unsorted.row(i));
+         }
+         return t->Own(tree->Scan());
+       }},
+      {"btree_range_scan",
+       [](Tree* t) {
+         BTree* tree = t->Make<BTree>(&In().s21, &t->counters, 16);
+         for (size_t i = 0; i < In().unsorted.size(); ++i) {
+           tree->Insert(In().unsorted.row(i));
+         }
+         const uint64_t low[3] = {1, 2, 0};
+         const uint64_t high[3] = {3, 1, 0};
+         return t->Own(tree->RangeScan(low, high));
+       }},
+      {"rle_column_scan",
+       [](Tree* t) {
+         RleColumnStore* store = t->Make<RleColumnStore>(&In().s31);
+         store->Build(Scan(t, In().s31, In().run31));
+         return t->Own(store->CreateScan());
+       }},
+      {"profiled",
+       [](Tree* t) {
+         Operator* filter = t->Make<FilterOperator>(
+             Scan(t, In().s21, In().run),
+             [](const uint64_t* row) { return row[2] % 2 != 0; });
+         return t->Make<ProfiledOperator>(filter, t->Make<OperatorStats>());
+       }},
+      {"in_stream_aggregate",
+       [](Tree* t) {
+         return t->Make<InStreamAggregate>(
+             Scan(t, In().s21, In().run), 1,
+             std::vector<AggregateSpec>{{AggFn::kCount, 0}, {AggFn::kSum, 2}},
+             &t->counters);
+       }},
+      {"in_stream_aggregate_baseline",
+       [](Tree* t) {
+         InStreamAggregate::Options options;
+         options.use_ovc_boundaries = false;
+         return t->Make<InStreamAggregate>(
+             Scan(t, In().s31, In().run31), 2,
+             std::vector<AggregateSpec>{{AggFn::kMin, 3}}, &t->counters,
+             options);
+       }},
+      {"in_sort_aggregate",
+       [](Tree* t) {
+         return t->Make<InSortAggregate>(
+             Unsorted(t), 2,
+             std::vector<AggregateSpec>{{AggFn::kCount, 0}, {AggFn::kMax, 2}},
+             &t->counters, &t->temp);
+       }},
+      {"in_sort_aggregate_spilled",
+       [](Tree* t) {
+         // Distinct on a 3-column prefix: enough groups to spill and merge.
+         return t->Make<InSortAggregate>(Unsorted(t), 3,
+                                         std::vector<AggregateSpec>{},
+                                         &t->counters, &t->temp,
+                                         SpillingConfig());
+       }},
+      SetOpCase("intersect_all", SetOpType::kIntersect, true),
+      SetOpCase("except_all", SetOpType::kExcept, true),
+      SetOpCase("union_all", SetOpType::kUnion, true),
+      SetOpCase("union_distinct", SetOpType::kUnion, false),
+      HashAggCase("hash_aggregate", uint64_t{1} << 20,
+                  FallbackPolicy::kPartition),
+      HashAggCase("hash_aggregate_partitioned", 4, FallbackPolicy::kPartition),
+      HashAggCase("hash_aggregate_sort_fallback", 4,
+                  FallbackPolicy::kSortMerge),
+      NljCase("nlj_inner", JoinTypeNlj::kInner),
+      NljCase("nlj_left_outer", JoinTypeNlj::kLeftOuter),
+      NljCase("nlj_left_semi", JoinTypeNlj::kLeftSemi),
+      NljCase("nlj_left_anti", JoinTypeNlj::kLeftAnti),
+      {"dedup",
+       [](Tree* t) {
+         return t->Make<DedupOperator>(Scan(t, In().s20, In().run_a));
+       }},
+      HashJoinCase("hash_join_inner", JoinTypeHash::kInner),
+      HashJoinCase("hash_join_left_outer", JoinTypeHash::kLeftOuter),
+      HashJoinCase("hash_join_left_semi", JoinTypeHash::kLeftSemi),
+      HashJoinCase("hash_join_left_anti", JoinTypeHash::kLeftAnti),
+      GraceCase("grace_join_in_memory", JoinTypeHash::kInner, uint64_t{1} << 20,
+                FallbackPolicy::kPartition),
+      GraceCase("grace_join_partitioned", JoinTypeHash::kInner, 30,
+                FallbackPolicy::kPartition),
+      GraceCase("grace_join_sort_fallback", JoinTypeHash::kInner, 30,
+                FallbackPolicy::kSortMerge),
+      GraceCase("grace_semi_join_sort_fallback", JoinTypeHash::kLeftSemi, 30,
+                FallbackPolicy::kSortMerge),
+      {"pivot",
+       [](Tree* t) {
+         return t->Make<PivotOperator>(Scan(t, In().s31, In().run31), 1, 1, 3,
+                                       std::vector<uint64_t>{0, 1, 2, 3});
+       }},
+      MergeJoinCase(JoinType::kInner),
+      MergeJoinCase(JoinType::kLeftOuter),
+      MergeJoinCase(JoinType::kFullOuter),
+      MergeJoinCase(JoinType::kLeftSemi),
+      MergeJoinCase(JoinType::kRightSemi),
+      MergeJoinCase(JoinType::kRightAnti),
+      {"rid_list_scan",
+       [](Tree* t) {
+         RidIndex* index = t->Make<RidIndex>();
+         index->Build(In().unsorted, 0);
+         return t->Own(index->Lookup(2));
+       }},
+      {"rid_merge_scan",
+       [](Tree* t) {
+         RidIndex* index = t->Make<RidIndex>();
+         index->Build(In().unsorted, 0);
+         return t->Own(index->RangeScan(1, 3, &t->counters));
+       }},
+      {"rid_intersect",
+       [](Tree* t) {
+         RidIndex* index = t->Make<RidIndex>();
+         index->Build(In().unsorted, 0);
+         RidIndex* other = t->Make<RidIndex>();
+         other->Build(In().unsorted, 1);
+         Operator* a = t->Own(index->RangeScan(0, 2, &t->counters));
+         Operator* b = t->Own(other->MultiLookup({1, 4}, &t->counters));
+         return t->Own(IntersectRidStreams(a, b, &t->counters));
+       }},
+      {"lsm_forest_scan",
+       [](Tree* t) {
+         LsmForest::Options options;
+         options.memtable_rows = 200;
+         LsmForest* forest =
+             t->Make<LsmForest>(&In().s21, &t->counters, &t->temp, options);
+         for (size_t i = 0; i < In().unsorted.size(); ++i) {
+           forest->Insert(In().unsorted.row(i));
+         }
+         return t->Own(forest->ScanAll());
+       }},
+      {"lsm_forest_collapsing_scan",
+       [](Tree* t) {
+         LsmForest::Options options;
+         options.memtable_rows = 200;
+         options.collapse = true;
+         options.collapse_fns = {StateMergeFn::kSum};
+         LsmForest* forest =
+             t->Make<LsmForest>(&In().s21, &t->counters, &t->temp, options);
+         for (size_t i = 0; i < In().unsorted.size(); ++i) {
+           forest->Insert(In().unsorted.row(i));
+         }
+         return t->Own(forest->ScanAll());
+       }},
+  };
+  return cases;
+}
+
+class CapacityParityTest : public ::testing::TestWithParam<ParityCase> {};
+
+TEST_P(CapacityParityTest, BlocksConcatenateToOneStream) {
+  RowVec first_rows;
+  std::vector<Ovc> first_codes;
+  QueryCounters first_counters;
+  for (uint32_t capacity : {RowBlock::kDefaultRows, 3u, 1u}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    Tree tree;
+    Operator* op = GetParam().build(&tree);
+    RowVec rows;
+    std::vector<Ovc> codes;
+    DrainBatched(op, capacity, op->sorted() && op->has_ovc(), &rows, &codes);
+    if (capacity == RowBlock::kDefaultRows) {
+      EXPECT_FALSE(rows.empty());
+      first_rows = std::move(rows);
+      first_codes = std::move(codes);
+      first_counters = tree.counters;
+      continue;
+    }
+    EXPECT_EQ(rows, first_rows);
+    EXPECT_EQ(codes, first_codes);
+    EXPECT_TRUE(tree.counters == first_counters)
+        << tree.counters.ToString() << " vs " << first_counters.ToString();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryOperator, CapacityParityTest, ::testing::ValuesIn(ParityCases()),
+    [](const ::testing::TestParamInfo<ParityCase>& info) {
+      std::string name = info.param.name;
+      for (char& c : name) {
+        if (c == ' ') c = '_';
+      }
+      return name;
+    });
+
+// ---------------------------------------------------------------------------
+// Block-path specifics.
+// ---------------------------------------------------------------------------
 
 TEST(NextBatch, FilterSurvivesAllDroppedBlocks) {
   Schema schema(1, 0);
@@ -175,34 +520,6 @@ TEST(NextBatch, FilterSurvivesAllDroppedBlocks) {
   EXPECT_EQ(rows[0][0], 99u);
 }
 
-TEST(NextBatch, ProjectMapsBlocksWithClampedCodes) {
-  Schema in_schema(3, 1);
-  RowBuffer table = MakeTable(in_schema, 1500, 4, /*seed=*/37,
-                              /*sorted=*/true);
-  InMemoryRun run = RunFromSorted(in_schema, table);
-  RunScan scan(&in_schema, &run);
-  // Keep the 2-column key prefix and swap payload in: order-preserving.
-  Schema out_schema(2, 1);
-  ProjectOperator project(&scan, out_schema, {0, 1, 3});
-  ASSERT_TRUE(project.sorted());
-  ExpectBatchedMatchesRowAtATime(&project, 33, /*check_codes=*/true);
-}
-
-TEST(NextBatch, ScanFilterProjectLimitPipeline) {
-  Schema in_schema(3, 1);
-  RowBuffer table = MakeTable(in_schema, 3000, 5, /*seed=*/41,
-                              /*sorted=*/true);
-  InMemoryRun run = RunFromSorted(in_schema, table);
-  RunScan scan(&in_schema, &run);
-  FilterOperator filter(&scan, [](const uint64_t* row) {
-    return row[2] % 2 == 0;
-  });
-  Schema out_schema(2, 0);
-  ProjectOperator project(&filter, out_schema, {0, 1});
-  LimitOperator limit(&project, 800);
-  ExpectBatchedMatchesRowAtATime(&limit, 50, /*check_codes=*/true);
-}
-
 TEST(NextBatch, SortOperatorServesBlocksInMemoryAndSpilled) {
   Schema schema(2, 1);
   RowBuffer table = MakeTable(schema, 4000, 6, /*seed=*/43);
@@ -222,19 +539,6 @@ TEST(NextBatch, SortOperatorServesBlocksInMemoryAndSpilled) {
     testing::RowVec expected = testing::ReferenceSort(schema, table);
     EXPECT_EQ(rows, expected) << "memory_rows=" << memory_rows;
   }
-}
-
-TEST(NextBatch, RleColumnScanMatchesRowStream) {
-  Schema schema(3, 1);
-  RowBuffer table = MakeTable(schema, 1100, 4, /*seed=*/59, /*sorted=*/true);
-  InMemoryRun run = RunFromSorted(schema, table);
-  RleColumnStore store(&schema);
-  RunScan build_scan(&schema, &run);
-  store.Build(&build_scan);
-  ASSERT_EQ(store.rows(), table.size());
-
-  std::unique_ptr<Operator> scan = store.CreateScan();
-  ExpectBatchedMatchesRowAtATime(scan.get(), 47, /*check_codes=*/true);
 }
 
 TEST(NextBatch, FilterHandlesShrinkingBlockCapacity) {
@@ -285,18 +589,6 @@ TEST(NextBatch, BlockPredicateMayMarkSurvivorsOnly) {
   for (size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(rows[i][0], i * 5);
   }
-}
-
-TEST(NextBatch, BTreeScanCopiesLeafSpans) {
-  Schema schema(2, 1);
-  RowBuffer table = MakeTable(schema, 800, 6, /*seed=*/47);
-  QueryCounters counters;
-  BTree tree(&schema, &counters, /*node_capacity=*/16);
-  for (size_t i = 0; i < table.size(); ++i) {
-    tree.Insert(table.row(i));
-  }
-  std::unique_ptr<Operator> scan = tree.Scan();
-  ExpectBatchedMatchesRowAtATime(scan.get(), 60, /*check_codes=*/true);
 }
 
 TEST(OvcMergerBlocks, DevirtualizedMergerMatchesVirtualMerger) {

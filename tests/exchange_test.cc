@@ -29,7 +29,6 @@ class LifecycleSpy : public Operator {
     ++opens;
     child_->Open();
   }
-  bool Next(RowRef* out) override { return child_->Next(out); }
   uint32_t NextBatch(RowBlock* out) override {
     return child_->NextBatch(out);
   }
@@ -107,8 +106,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(SplitExchange, InterleavedConsumptionStaysValid) {
-  // Consume partitions round-robin a row at a time: buffering must keep
-  // every partition stream independently valid.
+  // Consume partitions round-robin a row at a time (one-row blocks):
+  // buffering must keep every partition stream independently valid.
   Schema schema(2);
   RowBuffer table = MakeTable(schema, 300, 3, /*seed=*/92, /*sorted=*/true);
   InMemoryRun run = RunFromSorted(schema, table);
@@ -116,15 +115,15 @@ TEST(SplitExchange, InterleavedConsumptionStaysValid) {
   SplitExchange split(&scan, 3, SplitExchange::Policy::kRoundRobin, nullptr);
   std::vector<OvcStreamChecker> checkers(3, OvcStreamChecker(&schema));
   std::vector<bool> done(3, false);
+  RowBlock block(schema.total_columns(), /*capacity_rows=*/1);
   uint64_t total = 0;
   bool progress = true;
   while (progress) {
     progress = false;
     for (uint32_t i = 0; i < 3; ++i) {
       if (done[i]) continue;
-      RowRef ref;
-      if (split.partition(i)->Next(&ref)) {
-        ASSERT_TRUE(checkers[i].Observe(ref.cols, ref.ovc))
+      if (split.partition(i)->NextBatch(&block) == 1) {
+        ASSERT_TRUE(checkers[i].Observe(block.row(0), block.code(0)))
             << checkers[i].error();
         ++total;
         progress = true;
@@ -321,8 +320,8 @@ TEST(MergeExchange, ReopenWithoutCloseResetsLeftoverState) {
     options.threaded = threaded;
     MergeExchange exchange(spied, nullptr, options);
     exchange.Open();
-    RowRef ref;
-    for (int i = 0; i < 5; ++i) ASSERT_TRUE(exchange.Next(&ref));
+    RowBlock block(in.schema.total_columns(), /*capacity_rows=*/5);
+    ASSERT_EQ(exchange.NextBatch(&block), 5u);
     // Re-open mid-stream; the fresh cycle must deliver the full stream.
     RowVec all = DrainValidated(&exchange);
     EXPECT_EQ(all.size(), 900u) << "threaded=" << threaded;
@@ -334,7 +333,7 @@ TEST(MergeExchange, ReopenWithoutCloseResetsLeftoverState) {
 }
 
 TEST(MergeExchange, CopyingConsumerSurvivesBatchBoundaries) {
-  // Regression for the RowRef lifetime contract (exec/operator.h): a
+  // Regression for the row lifetime contract (exec/operator.h): a
   // queue-fed merge frees a producer batch when it pops the next one, so a
   // consumer that copies each row before the next pull -- across many
   // batch boundaries (tiny batch_rows forces them) -- must see the intact
@@ -393,8 +392,8 @@ TEST(MergeExchange, EarlyCloseWhileProducersBlockedOnFullQueues) {
   options.queue_batches = 1;
   MergeExchange exchange(spied, nullptr, options);
   exchange.Open();
-  RowRef ref;
-  for (int i = 0; i < 10; ++i) ASSERT_TRUE(exchange.Next(&ref));
+  RowBlock block(in.schema.total_columns(), /*capacity_rows=*/10);
+  ASSERT_EQ(exchange.NextBatch(&block), 10u);
   exchange.Close();  // producers blocked on full queues: must not hang
   for (const auto& spy : spies) {
     EXPECT_EQ(spy->opens, 1);
@@ -410,8 +409,8 @@ TEST(MergeExchange, DestructorWithoutCloseJoinsProducers) {
     options.queue_batches = 1;
     MergeExchange exchange(in.ops, nullptr, options);
     exchange.Open();
-    RowRef ref;
-    for (int i = 0; i < 10; ++i) ASSERT_TRUE(exchange.Next(&ref));
+    RowBlock block(in.schema.total_columns(), /*capacity_rows=*/10);
+    ASSERT_EQ(exchange.NextBatch(&block), 10u);
     // Destructor with live, blocked producers: must cancel and join.
   }
 }
@@ -431,8 +430,8 @@ TEST(MergeExchange, DestructorWithoutCloseBalancesInlineInputs) {
     options.threaded = false;
     MergeExchange exchange(spied, nullptr, options);
     exchange.Open();
-    RowRef ref;
-    for (int i = 0; i < 10; ++i) ASSERT_TRUE(exchange.Next(&ref));
+    RowBlock block(in.schema.total_columns(), /*capacity_rows=*/10);
+    ASSERT_EQ(exchange.NextBatch(&block), 10u);
   }
   for (const auto& spy : spies) {
     EXPECT_EQ(spy->opens, 1);
@@ -457,10 +456,8 @@ TEST(MergeExchange, EarlyCloseJoinsProducers) {
   }
   MergeExchange exchange(inputs, nullptr);
   exchange.Open();
-  RowRef ref;
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(exchange.Next(&ref));
-  }
+  RowBlock block(schema.total_columns(), /*capacity_rows=*/10);
+  ASSERT_EQ(exchange.NextBatch(&block), 10u);
   exchange.Close();  // must not hang or crash with blocked producers
 }
 

@@ -27,10 +27,10 @@ TEST(Limit, ZeroEmitsNothing) {
 
   EXPECT_EQ(DrainAndCount(&limit), 0u);
 
-  // Row-at-a-time agrees.
+  // A one-row block agrees.
   limit.Open();
-  RowRef ref;
-  EXPECT_FALSE(limit.Next(&ref));
+  RowBlock block(schema.total_columns(), /*capacity_rows=*/1);
+  EXPECT_EQ(limit.NextBatch(&block), 0u);
   limit.Close();
 }
 

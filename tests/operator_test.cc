@@ -46,18 +46,19 @@ TEST(Filter, Table3Golden) {
     return index++ == 0 || index == 7;  // keep rows 0 and 6
   });
   OvcCodec codec(&schema);
-  filter.Open();
+  BlockReader survivors(&filter);
+  survivors.Open();
   RowRef ref;
-  ASSERT_TRUE(filter.Next(&ref));
+  ASSERT_TRUE(survivors.Next(&ref));
   EXPECT_EQ(ref.cols[3], 9u);
   EXPECT_EQ(codec.OffsetOf(ref.ovc), 0u);  // "4 5 405": arity-offset 4
   EXPECT_EQ(OvcCodec::ValueOf(ref.ovc), 5u);
-  ASSERT_TRUE(filter.Next(&ref));
+  ASSERT_TRUE(survivors.Next(&ref));
   EXPECT_EQ(ref.cols[1], 9u);
   EXPECT_EQ(codec.OffsetOf(ref.ovc), 1u);  // "3 9 309": arity-offset 3
   EXPECT_EQ(OvcCodec::ValueOf(ref.ovc), 9u);
-  EXPECT_FALSE(filter.Next(&ref));
-  filter.Close();
+  EXPECT_FALSE(survivors.Next(&ref));
+  survivors.Close();
 }
 
 struct FilterParam {

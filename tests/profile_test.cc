@@ -173,29 +173,78 @@ TEST_F(ProfileTest, RepeatedRunsDoNotDoubleCountActuals) {
 }
 
 TEST_F(ProfileTest, TimingsAreInclusiveAndBounded) {
-  QueryCounters counters;
-  PlanExecutor executor(&counters, &temp_, MakeOptions(1));
-  auto logical = BuildJoinAgg();
-  ExecutionResult result = executor.Run(logical.get());
-  ASSERT_TRUE(result.ok()) << result.validation_error;
+  // Two single-threaded runs. The first is small: every wrapper stays
+  // inside the timing warmup, so times are exact. The second is large,
+  // sort-based and parallel with inline exchange pulls: the partition
+  // streams leave the warmup and are sampled, and a partition's first pull
+  // runs the whole inserted sort below the split -- the call the sampling
+  // must not scale.
+  const Schema big_schema(1, 2);
+  const Schema small_schema(1, 1);
+  const RowBuffer big = testing::MakeTable(big_schema, 200'000, 50, 23);
+  const RowBuffer small = testing::MakeTable(small_schema, 50, 50, 24);
+  struct Run {
+    std::unique_ptr<LogicalNode> logical;
+    PlanExecutor::Options options;
+  };
+  std::vector<Run> runs;
+  runs.push_back({BuildJoinAgg(), MakeOptions(1)});
+  runs.push_back(
+      {PlanBuilder::Scan(BufferSource("big", &big_schema, &big))
+           .Join(PlanBuilder::Scan(
+                     BufferSource("small", &small_schema, &small)),
+                 JoinType::kInner)
+           .Aggregate(1, {{AggFn::kCount, 0}})
+           .Build(),
+       MakeOptions(4)});
+  runs.back().options.planner.exchange.threaded = false;
+  runs.back().options.planner.prefer_sort_based = true;
 
-  const QueryProfile* profile = executor.last_plan()->profile();
-  ASSERT_NE(profile, nullptr);
-  EXPECT_GT(profile->wall_ns(), 0u);
-  // Serial plan: every node's inclusive time is bounded by the run's wall
-  // clock (generous slack for tick-rate conversion rounding), and a parent
-  // never reports less inclusive time than any child -- the parent's timed
-  // window contains the child's. Small inputs keep every wrapper inside
-  // the timing warmup, so times here are exact, not sampled.
-  const uint64_t slack = profile->wall_ns() / 2 + 2'000'000;
-  for (int i = 0; i < static_cast<int>(profile->nodes().size()); ++i) {
-    const QueryProfile::Node& node = profile->nodes()[i];
-    EXPECT_LE(profile->ActualNs(i), profile->wall_ns() + slack);
-    for (int child : node.children) {
-      EXPECT_LE(profile->ActualNs(child), profile->ActualNs(i) + slack)
-          << "child " << child << " of node " << i;
+  for (Run& run : runs) {
+    SCOPED_TRACE("parallelism " +
+                 std::to_string(run.options.planner.parallelism));
+    QueryCounters counters;
+    PlanExecutor executor(&counters, &temp_, run.options);
+    ExecutionResult result = executor.Run(run.logical.get());
+    ASSERT_TRUE(result.ok()) << result.validation_error;
+
+    const QueryProfile* profile = executor.last_plan()->profile();
+    ASSERT_NE(profile, nullptr);
+    EXPECT_GT(profile->wall_ns(), 0u);
+    // One thread: every node's inclusive time is bounded by the run's wall
+    // clock (generous slack for tick-rate conversion rounding and the
+    // sampled estimate), and a parent never reports less inclusive time
+    // than any child -- the parent's timed window contains the child's.
+    const uint64_t slack = profile->wall_ns() / 2 + 2'000'000;
+    for (int i = 0; i < static_cast<int>(profile->nodes().size()); ++i) {
+      const QueryProfile::Node& node = profile->nodes()[i];
+      EXPECT_LE(profile->ActualNs(i), profile->wall_ns() + slack)
+          << node.label;
+      for (int child : node.children) {
+        EXPECT_LE(profile->ActualNs(child), profile->ActualNs(i) + slack)
+            << "child " << child << " of node " << i << " " << node.label;
+      }
     }
   }
+}
+
+TEST(OperatorStats, OnlyTheSampleAfterWarmupIsScaled) {
+  OperatorStats stats;
+  // Inside the warmup every call is timed: the time is exact.
+  stats.next_calls = stats.warmup_calls = kTimeWarmupCalls;
+  stats.warmup_ticks = 5000;
+  EXPECT_EQ(stats.scaled_next_ticks(), 5000u);
+  // 160 calls after the warmup, 10 of them timed at 30 ticks in all: the
+  // sample scales by 16, the warmup (say, one bulk first pull) does not.
+  stats.next_calls += 160;
+  stats.sampled_calls = 10;
+  stats.sample_ticks = 30;
+  EXPECT_EQ(stats.scaled_next_ticks(), 5000u + 480u);
+  // Slices merge into node totals without mixing the two.
+  OperatorStats total;
+  total.Merge(stats);
+  total.Merge(stats);
+  EXPECT_EQ(total.scaled_next_ticks(), 2 * (5000u + 480u));
 }
 
 TEST_F(ProfileTest, JsonProfileRoundTrips) {

@@ -80,9 +80,14 @@ class ServerTest : public ::testing::Test {
 // ---------------------------------------------------------------------------
 
 TEST(WireCodec, PayloadRoundTrip) {
+  // Every counter field gets a distinct value that uses both 32-bit halves.
   QueryCounters counters;
-  counters.row_comparisons = 7;
-  counters.rows_spilled = 1u << 30;
+  uint64_t v = 0;
+#define OVC_DISTINCT_COUNTER(field, label, help) \
+  ++v;                                           \
+  counters.field = v << 33 | v;
+  OVC_QUERY_COUNTERS(OVC_DISTINCT_COUNTER)
+#undef OVC_DISTINCT_COUNTER
   PayloadWriter writer;
   writer.PutU8(3);
   writer.PutU32(0xdeadbeef);
@@ -110,6 +115,22 @@ TEST(WireCodec, PayloadRoundTrip) {
   EXPECT_EQ(s1, "hello");
   EXPECT_EQ(s2, "");
   EXPECT_TRUE(decoded == counters);
+
+  // The counters' wire order is pinned field by field.
+  PayloadWriter pinned;
+  pinned.PutCounters(counters);
+  PayloadReader raw(pinned.str());
+  for (uint64_t expected :
+       {counters.column_comparisons, counters.code_comparisons,
+        counters.row_comparisons, counters.hash_computations,
+        counters.rows_spilled, counters.bytes_spilled,
+        counters.merge_bypass_rows, counters.hash_join_fallbacks,
+        counters.hash_agg_fallbacks, counters.io_retries}) {
+    uint64_t got = 0;
+    ASSERT_TRUE(raw.GetU64(&got));
+    EXPECT_EQ(got, expected);
+  }
+  EXPECT_TRUE(raw.AtEnd());
 }
 
 TEST(WireCodec, TruncatedPayloadPoisonsReader) {

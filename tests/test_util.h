@@ -47,21 +47,22 @@ inline RowVec ReferenceSort(const Schema& schema, const RowBuffer& input) {
   return ToRowVec(copy);
 }
 
-/// Drains `op`, validating sortedness and codes with OvcStreamChecker when
-/// `check_codes`. Returns all rows.
+/// Drains `op` row by row through a BlockReader, validating sortedness and
+/// codes with OvcStreamChecker when `check_codes`. Returns all rows.
 inline RowVec DrainValidated(Operator* op, bool check_codes = true) {
-  op->Open();
+  BlockReader reader(op);
+  reader.Open();
   OvcStreamChecker checker(&op->schema());
   RowVec out;
   RowRef ref;
-  while (op->Next(&ref)) {
+  while (reader.Next(&ref)) {
     out.emplace_back(ref.cols, ref.cols + op->schema().total_columns());
     if (check_codes) {
       EXPECT_TRUE(checker.Observe(ref.cols, ref.ovc)) << checker.error();
       if (!checker.ok()) break;  // avoid error spam
     }
   }
-  op->Close();
+  reader.Close();
   return out;
 }
 

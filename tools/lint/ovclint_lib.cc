@@ -100,6 +100,60 @@ struct SourceFile {
   std::set<std::string> suppressed;  // rule IDs disabled for this file
 };
 
+/// The identifier starting at `pos` (empty when there is none).
+std::string IdentAt(const std::string& text, size_t pos) {
+  size_t end = pos;
+  while (end < text.size() &&
+         (std::isalnum(static_cast<unsigned char>(text[end])) ||
+          text[end] == '_')) {
+    ++end;
+  }
+  return text.substr(pos, end - pos);
+}
+
+/// Offset just past the logical (backslash-continued) line holding `pos`.
+/// Continuations are read from the raw text, where a backslash inside a
+/// block comment still continues the line.
+size_t LogicalLineEnd(const SourceFile& f, size_t pos) {
+  size_t end = f.raw.find('\n', pos);
+  while (end != std::string::npos && end > 0 && f.raw[end - 1] == '\\') {
+    end = f.raw.find('\n', end + 1);
+  }
+  return end == std::string::npos ? f.raw.size() : end;
+}
+
+/// X-macro lists: `#define LIST(X) X(a, ...) X(b, ...)` maps LIST to the
+/// first arguments {a, b} of its entries.
+void CollectXMacroLists(const SourceFile& f,
+                        std::map<std::string, std::vector<std::string>>* lists) {
+  const std::string& code = f.code;
+  for (size_t pos = 0; (pos = code.find("#define", pos)) != std::string::npos;
+       pos += 7) {
+    size_t p = code.find_first_not_of(" \t", pos + 7);
+    if (p == std::string::npos) break;
+    const std::string list = IdentAt(code, p);
+    p += list.size();
+    if (list.empty() || p >= code.size() || code[p] != '(') continue;
+    const std::string param = IdentAt(code, p + 1);
+    const size_t close = p + 1 + param.size();
+    if (param.empty() || close >= code.size() || code[close] != ')') continue;
+    const std::string body =
+        code.substr(close + 1, LogicalLineEnd(f, close) - close - 1);
+    std::vector<std::string> entries;
+    for (size_t q = 0; (q = body.find(param, q)) != std::string::npos;
+         q += param.size()) {
+      if (!TokenAt(body, q, param)) continue;
+      const size_t open = body.find_first_not_of(" \t\\\n", q + param.size());
+      if (open == std::string::npos || body[open] != '(') continue;
+      const size_t first = body.find_first_not_of(" \t\\\n", open + 1);
+      if (first == std::string::npos) continue;
+      const std::string entry = IdentAt(body, first);
+      if (!entry.empty()) entries.push_back(entry);
+    }
+    if (!entries.empty()) (*lists)[list] = std::move(entries);
+  }
+}
+
 /// Failpoint names follow `component.event` (dotted lowercase); this is
 /// what keeps the registry-table parse from matching other tables in
 /// docs/ROBUSTNESS.md.
@@ -403,10 +457,16 @@ std::vector<Finding> LintTree(const std::string& root) {
   {
     // Names used in src/: the first string literal inside each metric /
     // span macro argument list. Macro *definitions* carry no literal and
-    // are skipped naturally.
+    // are skipped naturally. A literal followed by a stringized parameter
+    // (`"query." #field`) sits in a per-entry macro M applied to an
+    // X-macro list (`LIST(M)`): it names one metric per list entry.
     const char* const kObsMacros[] = {"OVC_METRIC_COUNTER", "OVC_METRIC_GAUGE",
                                       "OVC_METRIC_HISTOGRAM", "OVC_TRACE_SPAN",
                                       "OVC_TRACE_SPAN_VAR"};
+    std::map<std::string, std::vector<std::string>> xlists;
+    for (const SourceFile& f : files) {
+      if (StartsWith(f.rel, "src/")) CollectXMacroLists(f, &xlists);
+    }
     std::map<std::string, std::pair<const SourceFile*, int>> used;
     for (const SourceFile& f : files) {
       if (!StartsWith(f.rel, "src/")) continue;
@@ -424,7 +484,32 @@ std::vector<Finding> LintTree(const std::string& root) {
           const size_t q2 = arg.find('"', q1 + 1);
           if (q2 == std::string::npos) continue;
           const std::string name = arg.substr(q1 + 1, q2 - q1 - 1);
-          if (!used.count(name)) used[name] = {&f, LineOf(f.code, pos)};
+          const size_t hash = arg.find_first_not_of(" \t\\\n", q2 + 1);
+          std::vector<std::string> names = {name};
+          if (hash != std::string::npos && arg[hash] == '#') {
+            // The enclosing per-entry macro, and the lists it is applied to.
+            const size_t def = f.code.rfind("#define", pos);
+            const size_t mpos =
+                def == std::string::npos
+                    ? std::string::npos
+                    : f.code.find_first_not_of(" \t", def + 7);
+            const std::string per_entry =
+                mpos == std::string::npos ? "" : IdentAt(f.code, mpos);
+            names.clear();
+            for (const auto& [list, entries] : xlists) {
+              const std::string call = list + "(" + per_entry + ")";
+              if (per_entry.empty() ||
+                  f.code.find(call) == std::string::npos) {
+                continue;
+              }
+              for (const std::string& entry : entries) {
+                names.push_back(name + entry);
+              }
+            }
+          }
+          for (const std::string& n : names) {
+            if (!used.count(n)) used[n] = {&f, LineOf(f.code, pos)};
+          }
         }
       }
     }

@@ -117,21 +117,11 @@ void PrintTables(const sql::Catalog& catalog) {
 void PrintCounters(const QueryCounters& counters) {
   // Every QueryCounters field, so .counters, the JSON profile, and the
   // query.* metrics report the same set field-for-field.
-  std::printf("column comparisons: %llu\ncode comparisons:   %llu\n"
-              "row comparisons:    %llu\nhash computations:  %llu\n"
-              "rows spilled:       %llu\nbytes spilled:      %llu\n"
-              "merge bypass rows:  %llu\nhash join fallbacks: %llu\n"
-              "hash agg fallbacks: %llu\nio retries:         %llu\n",
-              static_cast<unsigned long long>(counters.column_comparisons),
-              static_cast<unsigned long long>(counters.code_comparisons),
-              static_cast<unsigned long long>(counters.row_comparisons),
-              static_cast<unsigned long long>(counters.hash_computations),
-              static_cast<unsigned long long>(counters.rows_spilled),
-              static_cast<unsigned long long>(counters.bytes_spilled),
-              static_cast<unsigned long long>(counters.merge_bypass_rows),
-              static_cast<unsigned long long>(counters.hash_join_fallbacks),
-              static_cast<unsigned long long>(counters.hash_agg_fallbacks),
-              static_cast<unsigned long long>(counters.io_retries));
+#define OVC_PRINT_COUNTER(field, label, help) \
+  std::printf("%-19s %llu\n", label ":",     \
+              static_cast<unsigned long long>(counters.field));
+  OVC_QUERY_COUNTERS(OVC_PRINT_COUNTER)
+#undef OVC_PRINT_COUNTER
 }
 
 bool RunStatement(sql::SqlSession* session, sql::Catalog* catalog,
