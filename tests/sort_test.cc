@@ -8,6 +8,10 @@
 #include <gtest/gtest.h>
 
 #include "core/ovc_checker.h"
+#include "exec/merge_join.h"
+#include "exec/scan.h"
+#include "exec/set_operation.h"
+#include "pq/loser_tree.h"
 #include "sort/external_sort.h"
 #include "sort/run_file.h"
 #include "sort/run_generation.h"
@@ -18,9 +22,11 @@ namespace ovc {
 namespace {
 
 using ::ovc::testing::Canonicalize;
+using ::ovc::testing::DrainValidated;
 using ::ovc::testing::MakeTable;
 using ::ovc::testing::ReferenceSort;
 using ::ovc::testing::RowVec;
+using ::ovc::testing::RunFromSorted;
 using ::ovc::testing::ToRowVec;
 
 TEST(RunFile, RoundtripPreservesRowsAndCodes) {
@@ -333,6 +339,235 @@ TEST(SegmentedSorter, SegmentationNeedsNoComparisonsBeyondSegmentSorts) {
   EXPECT_EQ(sorter.segments(), 100u);
   EXPECT_EQ(counters.column_comparisons, 0u);
 }
+
+// ---------------------------------------------------------------------------
+// Golden comparison counts: exact counter values of every tournament and
+// merge loop on seeded inputs. The comparison kernel may get faster, but the
+// work it does -- and how that work is counted -- must not change.
+
+enum class KeyOrder { kAscending, kMixed };
+
+// `arity` key columns (alternating ascending/descending when mixed) and one
+// payload column.
+Schema GoldenSchema(uint32_t arity, KeyOrder order) {
+  if (order == KeyOrder::kAscending) return Schema(arity, 1);
+  std::vector<SortDirection> dirs;
+  for (uint32_t c = 0; c < arity; ++c) {
+    dirs.push_back(c % 2 == 0 ? SortDirection::kAscending
+                              : SortDirection::kDescending);
+  }
+  return Schema(std::move(dirs), 1);
+}
+
+// Sorted runs of a seeded table, coded the reference way (uncounted).
+std::vector<InMemoryRun> GoldenRuns(const Schema& schema, uint32_t runs,
+                                    uint64_t rows_per_run) {
+  std::vector<InMemoryRun> out;
+  for (uint32_t r = 0; r < runs; ++r) {
+    RowBuffer t = MakeTable(schema, rows_per_run, 4, /*seed=*/40 + r,
+                            /*sorted=*/true);
+    out.push_back(RunFromSorted(schema, t));
+  }
+  return out;
+}
+
+template <typename Source>
+void DrainMerger(const Schema& schema, QueryCounters* counters,
+                 std::vector<Source*> sources) {
+  OvcCodec codec(&schema);
+  KeyComparator cmp(&schema, counters);
+  OvcMergerT<Source> merger(&codec, &cmp, std::move(sources));
+  OvcStreamChecker checker(&schema);
+  RowRef ref;
+  while (merger.Next(&ref)) {
+    ASSERT_TRUE(checker.Observe(ref.cols, ref.ovc)) << checker.error();
+  }
+}
+
+void GoldenPqSorter(const Schema& schema, QueryCounters* counters) {
+  RowBuffer table = MakeTable(schema, 2000, 4, /*seed=*/11);
+  std::vector<const uint64_t*> rows;
+  for (size_t i = 0; i < table.size(); ++i) rows.push_back(table.row(i));
+  OvcCodec codec(&schema);
+  KeyComparator cmp(&schema, counters);
+  PqSorter sorter(&codec, &cmp);
+  sorter.Reset(rows.data(), static_cast<uint32_t>(rows.size()));
+  OvcStreamChecker checker(&schema);
+  RowRef ref;
+  while (sorter.Next(&ref)) {
+    ASSERT_TRUE(checker.Observe(ref.cols, ref.ovc)) << checker.error();
+  }
+}
+
+void GoldenMergerInMemory(const Schema& schema, QueryCounters* counters) {
+  std::vector<InMemoryRun> runs = GoldenRuns(schema, 6, 300);
+  std::vector<std::unique_ptr<InMemoryRunSource>> storage;
+  std::vector<InMemoryRunSource*> sources;
+  for (const InMemoryRun& run : runs) {
+    storage.push_back(std::make_unique<InMemoryRunSource>(&run));
+    sources.push_back(storage.back().get());
+  }
+  DrainMerger(schema, counters, sources);
+}
+
+void GoldenMergerRunFile(const Schema& schema, QueryCounters* counters) {
+  TempFileManager temp;
+  std::vector<InMemoryRun> runs = GoldenRuns(schema, 6, 300);
+  std::vector<std::unique_ptr<RunFileReader>> storage;
+  std::vector<RunFileReader*> sources;
+  for (const InMemoryRun& run : runs) {
+    const std::string path = temp.NewPath("golden");
+    RunFileWriter writer(&schema, counters);
+    ASSERT_TRUE(writer.Open(path).ok());
+    for (size_t i = 0; i < run.size(); ++i) {
+      ASSERT_TRUE(writer.Append(run.row(i), run.code(i)).ok());
+    }
+    ASSERT_TRUE(writer.Close().ok());
+    storage.push_back(std::make_unique<RunFileReader>(&schema, &temp));
+    ASSERT_TRUE(storage.back()->Open(path).ok());
+    sources.push_back(storage.back().get());
+  }
+  DrainMerger(schema, counters, sources);
+  EXPECT_TRUE(temp.first_error().ok());
+}
+
+void GoldenExternalSort(const Schema& schema, QueryCounters* counters) {
+  TempFileManager temp;
+  RowBuffer table = MakeTable(schema, 3000, 4, /*seed=*/12);
+  SortConfig config;
+  config.memory_rows = 256;  // forces 12 spilled runs ...
+  config.fan_in = 4;         // ... and an intermediate merge level
+  ExternalSort sort(&schema, counters, &temp, config);
+  for (size_t i = 0; i < table.size(); ++i) sort.Add(table.row(i));
+  ASSERT_TRUE(sort.Finish().ok());
+  EXPECT_GT(sort.spilled_runs(), 0u);
+  OvcStreamChecker checker(&schema);
+  RowRef ref;
+  uint64_t n = 0;
+  while (sort.Next(&ref)) {
+    ++n;
+    ASSERT_TRUE(checker.Observe(ref.cols, ref.ovc)) << checker.error();
+  }
+  EXPECT_EQ(n, table.size());
+}
+
+void GoldenReplacementSelection(const Schema& schema,
+                                QueryCounters* counters) {
+  TempFileManager temp;
+  RowBuffer table = MakeTable(schema, 3000, 4, /*seed=*/13);
+  ReplacementSelection rs(&schema, counters, &temp, /*capacity=*/128);
+  for (size_t i = 0; i < table.size(); ++i) {
+    ASSERT_TRUE(rs.Add(table.row(i)).ok());
+  }
+  ASSERT_TRUE(rs.Finish().ok());
+  EXPECT_GT(rs.run_count(), 1u);
+}
+
+void GoldenMergeJoin(const Schema& schema, QueryCounters* counters) {
+  RowBuffer lt = MakeTable(schema, 800, 4, /*seed=*/14, /*sorted=*/true);
+  RowBuffer rt = MakeTable(schema, 600, 4, /*seed=*/15, /*sorted=*/true);
+  InMemoryRun lrun = RunFromSorted(schema, lt);
+  InMemoryRun rrun = RunFromSorted(schema, rt);
+  RunScan lscan(&schema, &lrun), rscan(&schema, &rrun);
+  MergeJoin join(&lscan, &rscan, JoinType::kFullOuter, counters);
+  DrainValidated(&join);
+}
+
+void GoldenSetOperation(const Schema& row_schema, QueryCounters* counters) {
+  // Set operations compare whole rows: the key columns alone.
+  std::vector<SortDirection> dirs;
+  for (uint32_t c = 0; c < row_schema.key_arity(); ++c) {
+    dirs.push_back(row_schema.direction(c));
+  }
+  const Schema schema(std::move(dirs), 0);
+  RowBuffer lt = MakeTable(schema, 800, 4, /*seed=*/16, /*sorted=*/true);
+  RowBuffer rt = MakeTable(schema, 600, 4, /*seed=*/17, /*sorted=*/true);
+  InMemoryRun lrun = RunFromSorted(schema, lt);
+  InMemoryRun rrun = RunFromSorted(schema, rt);
+  RunScan lscan(&schema, &lrun), rscan(&schema, &rrun);
+  SetOperation op(&lscan, &rscan, SetOpType::kUnion, /*all=*/false, counters);
+  DrainValidated(&op);
+}
+
+struct GoldenCounts {
+  uint64_t code_comparisons;
+  uint64_t column_comparisons;
+  uint64_t row_comparisons;
+  uint64_t merge_bypass_rows;
+  uint64_t rows_spilled;
+  uint64_t bytes_spilled;
+};
+
+struct GoldenCase {
+  const char* name;
+  uint32_t arity;
+  KeyOrder order;
+  void (*run)(const Schema&, QueryCounters*);
+  GoldenCounts expected;
+};
+
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.name; }
+
+class GoldenCountTest : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(GoldenCountTest, CountsMatchRecordedValues) {
+  const GoldenCase& c = GetParam();
+  const Schema schema = GoldenSchema(c.arity, c.order);
+  QueryCounters counters;
+  c.run(schema, &counters);
+  EXPECT_EQ(counters.code_comparisons, c.expected.code_comparisons);
+  EXPECT_EQ(counters.column_comparisons, c.expected.column_comparisons);
+  EXPECT_EQ(counters.row_comparisons, c.expected.row_comparisons);
+  EXPECT_EQ(counters.merge_bypass_rows, c.expected.merge_bypass_rows);
+  EXPECT_EQ(counters.rows_spilled, c.expected.rows_spilled);
+  EXPECT_EQ(counters.bytes_spilled, c.expected.bytes_spilled);
+}
+
+constexpr KeyOrder kAsc = KeyOrder::kAscending;
+constexpr KeyOrder kMixed = KeyOrder::kMixed;
+
+// Expected values, recorded before the compare kernel moved into the header:
+// {code, column, row, merge bypass, rows spilled, bytes spilled}.
+INSTANTIATE_TEST_SUITE_P(
+    Loops, GoldenCountTest,
+    ::testing::Values(
+        GoldenCase{"pq_sorter_asc", 4, kAsc, GoldenPqSorter,
+                   {24047, 5916, 0, 0, 0, 0}},
+        GoldenCase{"pq_sorter_mixed", 4, kMixed, GoldenPqSorter,
+                   {24047, 9291, 0, 0, 0, 0}},
+        GoldenCase{"merger_memory_asc", 4, kAsc, GoldenMergerInMemory,
+                   {3238, 418, 0, 723, 0, 0}},
+        GoldenCase{"merger_memory_mixed", 4, kMixed, GoldenMergerInMemory,
+                   {3238, 1247, 0, 723, 0, 0}},
+        GoldenCase{"merger_run_file_asc", 4, kAsc, GoldenMergerRunFile,
+                   {3238, 418, 0, 723, 1800, 30632}},
+        GoldenCase{"merger_run_file_mixed", 4, kMixed, GoldenMergerRunFile,
+                   {3238, 1247, 0, 723, 1800, 30632}},
+        GoldenCase{"external_sort_2keys_asc", 2, kAsc, GoldenExternalSort,
+                   {27552, 2996, 0, 5760, 6000, 62400}},
+        GoldenCase{"external_sort_2keys_mixed", 2, kMixed, GoldenExternalSort,
+                   {27552, 5707, 0, 5760, 6000, 62400}},
+        GoldenCase{"external_sort_8keys_asc", 8, kAsc, GoldenExternalSort,
+                   {39008, 14866, 0, 32, 6000, 267032}},
+        GoldenCase{"external_sort_8keys_mixed", 8, kMixed, GoldenExternalSort,
+                   {39008, 20779, 0, 32, 6000, 267032}},
+        GoldenCase{"replacement_selection_asc", 4, kAsc,
+                   GoldenReplacementSelection,
+                   {21127, 11312, 2872, 0, 3000, 52728}},
+        GoldenCase{"replacement_selection_mixed", 4, kMixed,
+                   GoldenReplacementSelection,
+                   {21127, 14829, 2872, 0, 3000, 53008}},
+        GoldenCase{"merge_join_asc", 4, kAsc, GoldenMergeJoin,
+                   {332, 84, 0, 0, 0, 0}},
+        GoldenCase{"merge_join_mixed", 4, kMixed, GoldenMergeJoin,
+                   {332, 280, 0, 0, 0, 0}},
+        GoldenCase{"set_operation_asc", 4, kAsc, GoldenSetOperation,
+                   {254, 84, 0, 0, 0, 0}},
+        GoldenCase{"set_operation_mixed", 4, kMixed, GoldenSetOperation,
+                   {254, 280, 0, 0, 0, 0}}),
+    [](const ::testing::TestParamInfo<GoldenCase>& info) {
+      return info.param.name;
+    });
 
 }  // namespace
 }  // namespace ovc
