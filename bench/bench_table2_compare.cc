@@ -56,6 +56,7 @@ void CodedComparisons(benchmark::State& state) {
   QueryCounters counters;
   KeyComparator cmp(&schema, &counters);
   for (auto _ : state) {
+    CodeComparisonTally tally(&counters);
     int64_t acc = 0;
     // Compare consecutive pairs (B, C) relative to their shared base A: the
     // exact situation of Table 2.
@@ -63,7 +64,7 @@ void CodedComparisons(benchmark::State& state) {
       Ovc cb = set.codes[i - 1];   // B relative to A
       Ovc cc = set.skip_codes[i];  // C relative to A
       acc += CompareWithOvc(codec, cmp, set.rows.row(i - 1), &cb,
-                            set.rows.row(i), &cc);
+                            set.rows.row(i), &cc, tally.count());
     }
     benchmark::DoNotOptimize(acc);
   }

@@ -2,15 +2,16 @@
 # Runs the key benchmarks with --benchmark_format=json and aggregates all
 # results into a single JSON file. Each PR commits its aggregate as
 # BENCH_PR<n>.json at the repo root (the benchmark trajectory); the output
-# name is parametrized -- pass -o or set $BENCH_OUT, the default below
-# names the current PR's aggregate.
+# name is parametrized -- pass -o or set $BENCH_OUT. The default is the
+# next unused name, one past the highest BENCH_PR<n>.json in the repo root,
+# so a bare run never overwrites a committed aggregate.
 #
 # Usage:
 #   bench/run_benches.sh [-B build_dir] [-o out.json] [--smoke]
 #
 #   -B dir    build directory holding the bench binaries (default: build)
-#   -o file   aggregate output path (default: $BENCH_OUT, else the
-#             current PR's BENCH_PR<n>.json)
+#   -o file   aggregate output path (default: $BENCH_OUT, else the next
+#             unused BENCH_PR<n>.json)
 #   --smoke   CI mode: tiny --benchmark_min_time so the binaries and this
 #             script are exercised end-to-end without burning CI minutes
 #
@@ -30,8 +31,20 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+# One past the highest committed aggregate number (BENCH_PR1.json when
+# there is none).
+next_bench_out() {
+  local n max=0 f
+  for f in BENCH_PR*.json; do
+    n=${f#BENCH_PR}
+    n=${n%.json}
+    [[ $n =~ ^[0-9]+$ ]] && (( 10#$n > max )) && max=$((10#$n))
+  done
+  echo "BENCH_PR$((max + 1)).json"
+}
+
 BUILD_DIR=build
-OUT=${BENCH_OUT:-BENCH_PR10.json}
+OUT=${BENCH_OUT:-$(next_bench_out)}
 MIN_TIME=0.5
 BENCHES=(bench_batch_pipeline bench_pq_merge bench_sort_ovc
          bench_exchange_merge bench_parallel_sort bench_sql_e2e

@@ -75,7 +75,9 @@ class TempFileManager {
   Status first_error_ OVC_GUARDED_BY(error_mu_) = Status::Ok();
 };
 
-/// Buffered sequential writer over a temporary file.
+/// Buffered sequential writer over a temporary file. Used by one thread at
+/// a time (the operator that owns the run): writes skip stdio's stream
+/// lock.
 class FileWriter {
  public:
   FileWriter() = default;
@@ -110,7 +112,8 @@ class FileWriter {
   std::string path_;
 };
 
-/// Buffered sequential reader over a temporary file.
+/// Buffered sequential reader over a temporary file. Like FileWriter, one
+/// thread at a time: reads skip stdio's stream lock.
 class FileReader {
  public:
   FileReader() = default;
@@ -120,14 +123,18 @@ class FileReader {
 
   /// Opens `path` for reading.
   Status Open(const std::string& path);
-  /// Reads exactly `len` bytes; kIoError on short read.
+  /// Reads exactly `len` bytes; kIoError on short read (end of file
+  /// included).
   Status Read(void* data, size_t len);
+  /// Reads exactly `len` bytes, or nothing when the file has already ended:
+  /// then sets `*eof` and returns Ok. A read that ends part-way is kIoError.
+  /// Lets a record reader find the end of file with its first field
+  /// instead of probing for it before every record.
+  Status ReadOrEof(void* data, size_t len, bool* eof);
   /// Reads a little-endian 64-bit value.
   Status ReadU64(uint64_t* v) { return Read(v, sizeof(*v)); }
   /// Reads a little-endian 32-bit value.
   Status ReadU32(uint32_t* v) { return Read(v, sizeof(*v)); }
-  /// True once the reader has consumed the whole file.
-  bool AtEof();
   /// Closes the file.
   Status Close();
 

@@ -154,6 +154,7 @@ uint32_t MergeJoin::NextBatch(RowBlock* out) {
 }
 
 bool MergeJoin::AppendNext(RowBlock* out) {
+  CodeComparisonTally tally(counters_);
   while (true) {
     switch (state_) {
       case State::kDone:
@@ -166,8 +167,9 @@ bool MergeJoin::AppendNext(RowBlock* out) {
         }
         // The merge comparison: fences stand in for exhausted inputs, and
         // the loser's code is re-based onto the winner per the corollaries.
-        const int cmp = CompareWithOvc(key_codec_, comparator_, lref_.cols,
-                                       &lref_.ovc, rref_.cols, &rref_.ovc);
+        const int cmp =
+            CompareWithOvc(key_codec_, comparator_, lref_.cols, &lref_.ovc,
+                           rref_.cols, &rref_.ovc, tally.count());
         if (cmp < 0) {
           // Left key without right match.
           if (WantLeftOnly()) {

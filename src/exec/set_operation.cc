@@ -95,6 +95,7 @@ uint32_t SetOperation::NextBatch(RowBlock* out) {
 }
 
 bool SetOperation::AppendNext(RowBlock* out) {
+  CodeComparisonTally tally(comparator_.counters());
   while (true) {
     if (pending_copies_ > 0) {
       --pending_copies_;
@@ -109,7 +110,7 @@ bool SetOperation::AppendNext(RowBlock* out) {
     }
 
     const int cmp = CompareWithOvc(codec_, comparator_, lref_.cols, &lref_.ovc,
-                                   rref_.cols, &rref_.ovc);
+                                   rref_.cols, &rref_.ovc, tally.count());
     uint64_t nl = 0, nr = 0;
     Ovc key_code;
     if (cmp < 0) {

@@ -19,13 +19,14 @@ void PqSorter::Reset(const uint64_t* const* rows, uint32_t count) {
   winner_ = Entry{OvcCodec::LateFence(), 0};
 }
 
-PqSorter::Entry PqSorter::PlayMatch(uint32_t node, Entry a, Entry b) {
+PqSorter::Entry PqSorter::PlayMatch(uint32_t node, Entry a, Entry b,
+                                    uint64_t* code_comparisons) {
   // Rows of exhausted slots are never dereferenced: their codes are fences,
   // and CompareWithOvc touches rows only when both codes are equal and valid.
   const uint64_t* ra = a.slot < count_ ? rows_[a.slot] : nullptr;
   const uint64_t* rb = b.slot < count_ ? rows_[b.slot] : nullptr;
-  const int cmp =
-      CompareWithOvc(*codec_, *comparator_, ra, &a.code, rb, &b.code);
+  const int cmp = CompareWithOvc(*codec_, *comparator_, ra, &a.code, rb,
+                                 &b.code, code_comparisons);
   Entry winner, loser;
   if (cmp < 0 || (cmp == 0 && a.slot < b.slot)) {
     winner = a;
@@ -41,7 +42,8 @@ PqSorter::Entry PqSorter::PlayMatch(uint32_t node, Entry a, Entry b) {
   return winner;
 }
 
-PqSorter::Entry PqSorter::BuildWinner(uint32_t node) {
+PqSorter::Entry PqSorter::BuildWinner(uint32_t node,
+                                      uint64_t* code_comparisons) {
   if (node >= capacity_) {
     const uint32_t slot = node - capacity_;
     if (slot >= count_) {
@@ -50,9 +52,9 @@ PqSorter::Entry PqSorter::BuildWinner(uint32_t node) {
     // Each row is a single-row run: its code is relative to minus infinity.
     return Entry{codec_->MakeInitial(rows_[slot]), slot};
   }
-  Entry a = BuildWinner(2 * node);
-  Entry b = BuildWinner(2 * node + 1);
-  return PlayMatch(node, a, b);
+  Entry a = BuildWinner(2 * node, code_comparisons);
+  Entry b = BuildWinner(2 * node + 1, code_comparisons);
+  return PlayMatch(node, a, b, code_comparisons);
 }
 
 bool PqSorter::Next(RowRef* out) {
@@ -62,15 +64,17 @@ bool PqSorter::Next(RowRef* out) {
     if (capacity_ == 1) {
       winner_ = Entry{codec_->MakeInitial(rows_[0]), 0};
     } else {
-      winner_ = BuildWinner(1);
+      CodeComparisonTally tally(comparator_->counters());
+      winner_ = BuildWinner(1, tally.count());
     }
   } else {
     // The winner's run is a single row, so its successor is a late fence;
     // replaying the path is pure tear-down.
+    CodeComparisonTally tally(comparator_->counters());
     Entry cand{OvcCodec::LateFence(), winner_.slot};
     uint32_t node = (capacity_ + winner_.slot) >> 1;
     while (node >= 1) {
-      cand = PlayMatch(node, cand, nodes_[node]);
+      cand = PlayMatch(node, cand, nodes_[node], tally.count());
       node >>= 1;
     }
     winner_ = cand;

@@ -96,11 +96,8 @@ class OvcMergerT {
   bool Next(RowRef* out) {
     if (!started_) {
       started_ = true;
-      if (capacity_ == 1) {
-        winner_ = LeafEntry(0);
-      } else {
-        winner_ = BuildWinner(1);
-      }
+      CodeComparisonTally tally(comparator_->counters());
+      winner_ = capacity_ == 1 ? LeafEntry(0) : BuildWinner(1, tally.count());
     } else if (OvcCodec::IsValid(winner_.code)) {
       Advance();
     }
@@ -156,13 +153,13 @@ class OvcMergerT {
     return Entry{code, slot};
   }
 
-  Entry BuildWinner(uint32_t node) {
+  Entry BuildWinner(uint32_t node, uint64_t* code_comparisons) {
     if (node >= capacity_) {
       return LeafEntry(node - capacity_);
     }
-    Entry a = BuildWinner(2 * node);
-    Entry b = BuildWinner(2 * node + 1);
-    return PlayMatch(node, a, b);
+    Entry a = BuildWinner(2 * node, code_comparisons);
+    Entry b = BuildWinner(2 * node + 1, code_comparisons);
+    return PlayMatch(node, a, b, code_comparisons);
   }
 
   void Advance() {
@@ -178,18 +175,21 @@ class OvcMergerT {
       winner_ = cand;
       return;
     }
+    CodeComparisonTally tally(comparator_->counters());
     uint32_t node = (capacity_ + slot) >> 1;
     while (node >= 1) {
-      cand = PlayMatch(node, cand, nodes_[node]);
+      cand = PlayMatch(node, cand, nodes_[node], tally.count());
       node >>= 1;
     }
     winner_ = cand;
   }
 
   /// Plays one match: returns the winner, parks the loser at nodes_[node].
-  Entry PlayMatch(uint32_t node, Entry a, Entry b) {
-    const int cmp = CompareWithOvc(*codec_, *comparator_, rows_[a.slot],
-                                   &a.code, rows_[b.slot], &b.code);
+  Entry PlayMatch(uint32_t node, Entry a, Entry b,
+                  uint64_t* code_comparisons) {
+    const int cmp =
+        CompareWithOvc(*codec_, *comparator_, rows_[a.slot], &a.code,
+                       rows_[b.slot], &b.code, code_comparisons);
     Entry winner, loser;
     if (cmp < 0 || (cmp == 0 && a.slot < b.slot)) {
       winner = a;
@@ -262,8 +262,9 @@ class PqSorter {
     uint32_t slot;
   };
 
-  Entry BuildWinner(uint32_t node);
-  Entry PlayMatch(uint32_t node, Entry a, Entry b);
+  Entry BuildWinner(uint32_t node, uint64_t* code_comparisons);
+  Entry PlayMatch(uint32_t node, Entry a, Entry b,
+                  uint64_t* code_comparisons);
 
   const OvcCodec* codec_;
   const KeyComparator* comparator_;

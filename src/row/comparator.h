@@ -43,10 +43,12 @@ class KeyComparator {
     int result = 0;
     uint32_t i = start;
     for (; i < arity; ++i) {
-      const uint64_t av = schema_->NormalizedAt(a, i);
-      const uint64_t bv = schema_->NormalizedAt(b, i);
-      if (av != bv) {
-        result = av < bv ? -1 : 1;
+      if (a[i] != b[i]) {
+        // Equality does not depend on direction: only the deciding column
+        // is normalized.
+        result = schema_->NormalizedAt(a, i) < schema_->NormalizedAt(b, i)
+                     ? -1
+                     : 1;
         ++i;  // the deciding column was inspected too
         break;
       }
@@ -58,13 +60,14 @@ class KeyComparator {
   /// Returns the first key column index >= `start` where `a` and `b` differ,
   /// or key_arity() if the keys are equal from `start` on. Each inspected
   /// column counts as one column comparison (flushed once per call; see
-  /// CompareFrom).
+  /// CompareFrom). Compares raw column words: whether two values differ
+  /// does not depend on the column's sort direction.
   uint32_t FirstDifference(const uint64_t* a, const uint64_t* b,
                            uint32_t start) const {
     const uint32_t arity = schema_->key_arity();
     uint32_t i = start;
     for (; i < arity; ++i) {
-      if (schema_->NormalizedAt(a, i) != schema_->NormalizedAt(b, i)) break;
+      if (a[i] != b[i]) break;
     }
     if (counters_ != nullptr) {
       counters_->column_comparisons += (i < arity ? i + 1 : arity) - start;

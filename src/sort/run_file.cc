@@ -49,11 +49,16 @@ Status RunFileReader::Open(const std::string& path) {
 
 bool RunFileReader::Next(const uint64_t** row, Ovc* code) {
   OVC_CHECK(open_);
-  if (failed_ || file_.AtEof()) {
+  if (done_) return false;
+  // The end of the file shows up as a clean end before the offset field:
+  // no probe per record.
+  uint16_t offset = 0;
+  bool eof = false;
+  Status st = file_.ReadOrEof(&offset, sizeof(offset), &eof);
+  if (st.ok() && eof) {
+    done_ = true;
     return false;
   }
-  uint16_t offset = 0;
-  Status st = file_.Read(&offset, sizeof(offset));
   const uint32_t arity = schema_->key_arity();
   const uint32_t total = schema_->total_columns();
   if (st.ok() && offset > arity) {
@@ -61,12 +66,10 @@ bool RunFileReader::Next(const uint64_t** row, Ovc* code) {
                          std::to_string(offset) + " exceeds key arity " +
                          std::to_string(arity));
   }
-  // The shared prefix is already in row_ from the previous row.
+  // The shared prefix is already in row_ from the previous row; the key
+  // columns past it and the payload columns follow it contiguously.
   if (st.ok()) {
-    st = file_.Read(row_.data() + offset, (arity - offset) * sizeof(uint64_t));
-  }
-  if (st.ok()) {
-    st = file_.Read(row_.data() + arity, (total - arity) * sizeof(uint64_t));
+    st = file_.Read(row_.data() + offset, (total - offset) * sizeof(uint64_t));
   }
   if (!st.ok()) return Fail(st);
   *row = row_.data();
@@ -75,7 +78,7 @@ bool RunFileReader::Next(const uint64_t** row, Ovc* code) {
 }
 
 bool RunFileReader::Fail(const Status& status) {
-  failed_ = true;
+  done_ = true;
   if (error_sink_ != nullptr) {
     // Degrade contract: first error lands in the manager's slot, the
     // stream ends, and the executor surfaces the error after the run.

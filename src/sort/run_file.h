@@ -93,7 +93,7 @@ class RunFileReader final : public MergeSource {
                                // prefix stays in place)
   FileReader file_;
   bool open_ = false;
-  bool failed_ = false;
+  bool done_ = false;  // end of file reached, or failed
 };
 
 /// A spilled run: its path and row count. Value type handed between run

@@ -173,14 +173,13 @@ ReplacementSelection::Entry ReplacementSelection::MakeFreshEntry(
   return e;
 }
 
-ReplacementSelection::Entry ReplacementSelection::PlayMatch(uint32_t node,
-                                                            Entry a,
-                                                            Entry b) {
+ReplacementSelection::Entry ReplacementSelection::PlayMatch(
+    uint32_t node, Entry a, Entry b, uint64_t* code_comparisons) {
   Entry winner, loser;
   if (a.run != b.run) {
     // Run numbers decide; codes and bases are untouched (no claim is made
     // about a cross-run code relationship).
-    if (counters_ != nullptr) ++counters_->code_comparisons;
+    ++*code_comparisons;
     if (a.run < b.run) {
       winner = a;
       loser = b;
@@ -190,7 +189,7 @@ ReplacementSelection::Entry ReplacementSelection::PlayMatch(uint32_t node,
     }
   } else if (!OvcCodec::IsValid(a.code) || !OvcCodec::IsValid(b.code)) {
     // At least one fence: the code word decides, no row data is touched.
-    if (counters_ != nullptr) ++counters_->code_comparisons;
+    ++*code_comparisons;
     if (a.code < b.code || (a.code == b.code && a.slot < b.slot)) {
       winner = a;
       loser = b;
@@ -203,7 +202,7 @@ ReplacementSelection::Entry ReplacementSelection::PlayMatch(uint32_t node,
     const uint64_t* ra = slots_.row(a.slot);
     const uint64_t* rb = slots_.row(b.slot);
     const int cmp = CompareWithOvc(codec_, comparator_, ra, &a.code, rb,
-                                   &b.code);
+                                   &b.code, code_comparisons);
     if (cmp < 0 || (cmp == 0 && a.slot < b.slot)) {
       winner = a;
       loser = b;
@@ -245,13 +244,14 @@ void ReplacementSelection::BuildTree() {
   struct Builder {
     ReplacementSelection* rs;
     std::vector<Entry>* leaves;
+    uint64_t* code_comparisons;
     Entry Build(uint32_t node) {
       if (node >= rs->tree_capacity_) {
         return (*leaves)[node - rs->tree_capacity_];
       }
       Entry a = Build(2 * node);
       Entry b = Build(2 * node + 1);
-      return rs->PlayMatch(node, a, b);
+      return rs->PlayMatch(node, a, b, code_comparisons);
     }
   };
   std::vector<Entry> leaves(tree_capacity_);
@@ -266,7 +266,8 @@ void ReplacementSelection::BuildTree() {
   if (tree_capacity_ == 1) {
     winner_ = leaves[0];
   } else {
-    Builder builder{this, &leaves};
+    CodeComparisonTally tally(counters_);
+    Builder builder{this, &leaves, tally.count()};
     winner_ = builder.Build(1);
   }
   built_ = true;
@@ -312,16 +313,14 @@ Status ReplacementSelection::EmitWinner() {
   return Status::Ok();
 }
 
-Status ReplacementSelection::PopAndReplace(const Entry& replacement) {
-  OVC_RETURN_IF_ERROR(EmitWinner());
-  Entry cand = replacement;
+void ReplacementSelection::ReplayWinnerPath(Entry cand) {
+  CodeComparisonTally tally(counters_);
   uint32_t node = (tree_capacity_ + winner_.slot) >> 1;
   while (node >= 1) {
-    cand = PlayMatch(node, cand, nodes_[node]);
+    cand = PlayMatch(node, cand, nodes_[node], tally.count());
     node >>= 1;
   }
   winner_ = cand;
-  return Status::Ok();
 }
 
 Status ReplacementSelection::Add(const uint64_t* row) {
@@ -361,13 +360,7 @@ Status ReplacementSelection::Add(const uint64_t* row) {
   // Overwrite the slot only after emitting (EmitWinner reads the row).
   std::memcpy(slots_.mutable_row(slot), row,
               schema_->total_columns() * sizeof(uint64_t));
-  Entry cand = fresh;
-  uint32_t node = (tree_capacity_ + slot) >> 1;
-  while (node >= 1) {
-    cand = PlayMatch(node, cand, nodes_[node]);
-    node >>= 1;
-  }
-  winner_ = cand;
+  ReplayWinnerPath(fresh);
   return Status::Ok();
 }
 
@@ -381,7 +374,8 @@ Status ReplacementSelection::Finish() {
   while (OvcCodec::IsValid(winner_.code)) {
     Entry fence;  // defaults: late fence, infinite run
     fence.slot = winner_.slot;
-    OVC_RETURN_IF_ERROR(PopAndReplace(fence));
+    OVC_RETURN_IF_ERROR(EmitWinner());
+    ReplayWinnerPath(fence);
   }
   if (writer_ != nullptr) {
     OVC_RETURN_IF_ERROR(writer_->Close());

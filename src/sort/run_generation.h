@@ -120,9 +120,12 @@ class ReplacementSelection {
     uint32_t slot = 0;
   };
 
-  Entry PlayMatch(uint32_t node, Entry a, Entry b);
+  Entry PlayMatch(uint32_t node, Entry a, Entry b,
+                  uint64_t* code_comparisons);
   void BuildTree();
-  Status PopAndReplace(const Entry& replacement);
+  /// Plays `cand`, the entry taking the winner's slot, up the winner's
+  /// leaf-to-root path and crowns the new winner.
+  void ReplayWinnerPath(Entry cand);
   Status EmitWinner();
   Entry MakeFreshEntry(const uint64_t* row, uint32_t slot);
 

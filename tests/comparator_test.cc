@@ -157,12 +157,16 @@ TEST(TempFiles, WriteReadRoundtrip) {
   ASSERT_TRUE(reader.Open(path).ok());
   uint64_t v64 = 0;
   uint32_t v32 = 0;
-  EXPECT_FALSE(reader.AtEof());
-  ASSERT_TRUE(reader.ReadU64(&v64).ok());
+  bool eof = true;
+  ASSERT_TRUE(reader.ReadOrEof(&v64, sizeof(v64), &eof).ok());
+  EXPECT_FALSE(eof);
   ASSERT_TRUE(reader.ReadU32(&v32).ok());
   EXPECT_EQ(v64, 123456789ull);
   EXPECT_EQ(v32, 42u);
-  EXPECT_TRUE(reader.AtEof());
+  // At the end: ReadOrEof reports it cleanly, Read calls it a short read.
+  ASSERT_TRUE(reader.ReadOrEof(&v32, sizeof(v32), &eof).ok());
+  EXPECT_TRUE(eof);
+  EXPECT_FALSE(reader.Read(&v32, sizeof(v32)).ok());
   ASSERT_TRUE(reader.Close().ok());
 }
 

@@ -110,6 +110,7 @@ TEST(Table2Golden, Case1OffsetsDecide) {
   OvcCodec codec(&schema);
   QueryCounters counters;
   KeyComparator cmp(&schema, &counters);
+  uint64_t code_cmps = 0;
   const uint64_t base[4] = {3, 4, 2, 5};
   const uint64_t a[4] = {3, 5, 8, 2};  // code 305
   const uint64_t b[4] = {3, 4, 6, 1};  // code 206
@@ -117,12 +118,13 @@ TEST(Table2Golden, Case1OffsetsDecide) {
   Ovc cb = reference::AscendingOvc(codec, base, b);
   EXPECT_EQ(codec.OffsetOf(ca), 1u);
   EXPECT_EQ(codec.OffsetOf(cb), 2u);
-  const int r = CompareWithOvc(codec, cmp, a, &ca, b, &cb);
+  const int r = CompareWithOvc(codec, cmp, a, &ca, b, &cb, &code_cmps);
   EXPECT_GT(r, 0);  // b sorts earlier
   // Loser (a) keeps its code relative to the new winner (unequal-code
   // theorem), and no column comparison was spent.
   EXPECT_EQ(ca, reference::AscendingOvc(codec, b, a));
   EXPECT_EQ(counters.column_comparisons, 0u);
+  EXPECT_EQ(code_cmps, 1u);
 }
 
 TEST(Table2Golden, Case2ValuesDecide) {
@@ -130,12 +132,13 @@ TEST(Table2Golden, Case2ValuesDecide) {
   OvcCodec codec(&schema);
   QueryCounters counters;
   KeyComparator cmp(&schema, &counters);
+  uint64_t code_cmps = 0;
   const uint64_t base[4] = {3, 4, 2, 5};
   const uint64_t a[4] = {3, 4, 3, 8};  // code 203
   const uint64_t b[4] = {3, 4, 9, 1};  // code 209
   Ovc ca = reference::AscendingOvc(codec, base, a);
   Ovc cb = reference::AscendingOvc(codec, base, b);
-  const int r = CompareWithOvc(codec, cmp, a, &ca, b, &cb);
+  const int r = CompareWithOvc(codec, cmp, a, &ca, b, &cb, &code_cmps);
   EXPECT_LT(r, 0);  // a sorts earlier
   EXPECT_EQ(cb, reference::AscendingOvc(codec, a, b));
   EXPECT_EQ(counters.column_comparisons, 0u);
@@ -146,13 +149,14 @@ TEST(Table2Golden, Case3ColumnsDecideAndLoserAdjusts) {
   OvcCodec codec(&schema);
   QueryCounters counters;
   KeyComparator cmp(&schema, &counters);
+  uint64_t code_cmps = 0;
   const uint64_t base[4] = {3, 4, 2, 5};
   const uint64_t a[4] = {3, 7, 4, 7};  // code 307
   const uint64_t b[4] = {3, 7, 4, 9};  // code 307 (equal!)
   Ovc ca = reference::AscendingOvc(codec, base, a);
   Ovc cb = reference::AscendingOvc(codec, base, b);
   EXPECT_EQ(ca, cb);
-  const int r = CompareWithOvc(codec, cmp, a, &ca, b, &cb);
+  const int r = CompareWithOvc(codec, cmp, a, &ca, b, &cb, &code_cmps);
   EXPECT_LT(r, 0);
   // Loser's new code: offset 3, value 9 (the "109" of Table 2).
   EXPECT_EQ(codec.OffsetOf(cb), 3u);
@@ -327,13 +331,14 @@ TEST(OvcCodec, CompareWithOvcHandlesSaturatedTies) {
   OvcCodec codec(&schema);
   QueryCounters counters;
   KeyComparator cmp(&schema, &counters);
+  uint64_t code_cmps = 0;
   const uint64_t base[2] = {0, 0};
   const uint64_t a[2] = {OvcCodec::kValueMask + 10, 1};
   const uint64_t b[2] = {OvcCodec::kValueMask + 20, 1};
   Ovc ca = reference::AscendingOvc(codec, base, a);
   Ovc cb = reference::AscendingOvc(codec, base, b);
   EXPECT_EQ(ca, cb);  // both saturate
-  const int r = CompareWithOvc(codec, cmp, a, &ca, b, &cb);
+  const int r = CompareWithOvc(codec, cmp, a, &ca, b, &cb, &code_cmps);
   EXPECT_LT(r, 0);
   EXPECT_GE(counters.column_comparisons, 1u);  // resumed at the offset
   EXPECT_EQ(codec.OffsetOf(cb), 0u);
@@ -343,12 +348,13 @@ TEST(OvcCodec, EqualRowsReportEquality) {
   Schema schema(3);
   OvcCodec codec(&schema);
   KeyComparator cmp(&schema, nullptr);
+  uint64_t code_cmps = 0;
   const uint64_t base[3] = {1, 1, 1};
   const uint64_t a[3] = {1, 2, 3};
   const uint64_t b[3] = {1, 2, 3};
   Ovc ca = reference::AscendingOvc(codec, base, a);
   Ovc cb = reference::AscendingOvc(codec, base, b);
-  EXPECT_EQ(CompareWithOvc(codec, cmp, a, &ca, b, &cb), 0);
+  EXPECT_EQ(CompareWithOvc(codec, cmp, a, &ca, b, &cb, &code_cmps), 0);
 }
 
 TEST(OvcCodec, ClampToPrefixForProjectionAndGrouping) {

@@ -1,6 +1,7 @@
 // External merge sort: run files, all run-generation modes, spilling and
 // merge cascading, replacement selection, segmented sort.
 
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -69,6 +70,96 @@ TEST(RunFile, RoundtripPreservesRowsAndCodes) {
     ASSERT_EQ(code, codes[i]) << i;
   }
   EXPECT_FALSE(reader.Next(&row, &code));
+}
+
+// Writes `rows` rows of a seeded sorted table to a new run file; returns
+// its path and, through `last_record` (optional), the byte position where
+// the last record starts.
+std::string WriteRun(const Schema& schema, TempFileManager* temp,
+                     uint64_t rows, uint64_t* last_record = nullptr) {
+  OvcCodec codec(&schema);
+  KeyComparator cmp(&schema, nullptr);
+  QueryCounters counters;
+  RowBuffer table = MakeTable(schema, rows, 3, /*seed=*/9, /*sorted=*/true);
+  const std::string path = temp->NewPath("run");
+  RunFileWriter writer(&schema, &counters);
+  EXPECT_TRUE(writer.Open(path).ok());
+  for (size_t i = 0; i < table.size(); ++i) {
+    const Ovc code =
+        i == 0 ? codec.MakeInitial(table.row(i))
+               : codec.MakeFromRow(table.row(i),
+                                   cmp.FirstDifference(table.row(i - 1),
+                                                       table.row(i), 0));
+    if (last_record != nullptr) *last_record = counters.bytes_spilled;
+    EXPECT_TRUE(writer.Append(table.row(i), code).ok());
+  }
+  EXPECT_TRUE(writer.Close().ok());
+  return path;
+}
+
+// Rows a reader yields before it reports the end of the stream; pulls once
+// more past the end to check the end is sticky.
+uint64_t CountRows(const Schema& schema, TempFileManager* temp,
+                   const std::string& path) {
+  RunFileReader reader(&schema, temp);
+  EXPECT_TRUE(reader.Open(path).ok());
+  const uint64_t* row = nullptr;
+  Ovc code = 0;
+  uint64_t n = 0;
+  while (reader.Next(&row, &code)) ++n;
+  EXPECT_FALSE(reader.Next(&row, &code));
+  return n;
+}
+
+TEST(RunFile, ReaderStopsAtTheLastRecord) {
+  Schema schema(3, 2);
+  for (uint64_t rows : {0, 1, 2}) {
+    TempFileManager temp;
+    const std::string path = WriteRun(schema, &temp, rows);
+    EXPECT_EQ(CountRows(schema, &temp, path), rows);
+    EXPECT_TRUE(temp.first_error().ok()) << temp.first_error().ToString();
+  }
+}
+
+TEST(RunFile, TruncatedRecordEndsStreamWithIoError) {
+  // Cut the last record inside its offset field, inside its first column,
+  // and one byte short of its end: the complete records come out, then the
+  // stream ends and the error sink holds an IoError.
+  Schema schema(3, 2);
+  TempFileManager probe;
+  uint64_t last = 0;
+  const uint64_t size =
+      std::filesystem::file_size(WriteRun(schema, &probe, 20, &last));
+  for (uint64_t cut : {uint64_t{1}, uint64_t{5}, size - last - 1}) {
+    TempFileManager temp;
+    const std::string path = WriteRun(schema, &temp, 20);
+    std::filesystem::resize_file(path, last + cut);
+    EXPECT_EQ(CountRows(schema, &temp, path), 19u) << "cut " << cut;
+    EXPECT_EQ(temp.first_error().code(), StatusCode::kIoError)
+        << "cut " << cut;
+  }
+}
+
+TEST(RunFile, OversizedPrefixOffsetEndsStreamWithIoError) {
+  Schema schema(3, 2);
+  TempFileManager temp;
+  const std::string path = temp.NewPath("run");
+  FileWriter file;
+  ASSERT_TRUE(file.Open(path).ok());
+  // A valid first record (offset 0, all five columns), then a record whose
+  // prefix offset exceeds the key arity of 3.
+  const uint64_t row[5] = {1, 2, 3, 4, 5};
+  const uint16_t offsets[2] = {0, 4};
+  for (uint16_t offset : offsets) {
+    ASSERT_TRUE(file.Write(&offset, sizeof(offset)).ok());
+    ASSERT_TRUE(file.Write(row, sizeof(row)).ok());
+  }
+  ASSERT_TRUE(file.Close().ok());
+  EXPECT_EQ(CountRows(schema, &temp, path), 1u);
+  EXPECT_EQ(temp.first_error().code(), StatusCode::kIoError);
+  EXPECT_NE(temp.first_error().message().find("prefix offset 4"),
+            std::string::npos)
+      << temp.first_error().ToString();
 }
 
 struct ExternalSortParam {
