@@ -1,7 +1,9 @@
 // External merge sort: run files, all run-generation modes, spilling and
 // merge cascading, replacement selection, segmented sort.
 
+#include <algorithm>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -9,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "core/ovc_checker.h"
+#include "exec/in_sort_aggregate.h"
 #include "exec/merge_join.h"
 #include "exec/scan.h"
 #include "exec/set_operation.h"
@@ -17,6 +20,7 @@
 #include "sort/run_file.h"
 #include "sort/run_generation.h"
 #include "sort/segmented_sort.h"
+#include "storage/lsm.h"
 #include "test_util.h"
 
 namespace ovc {
@@ -580,6 +584,104 @@ void GoldenSetOperation(const Schema& row_schema, QueryCounters* counters) {
   DrainValidated(&op);
 }
 
+// COUNT, SUM, MIN and MAX of the payload column per group of the first
+// three key columns, checked against a reference aggregation.
+void GoldenInSortAggregate(const Schema& schema, QueryCounters* counters,
+                           uint64_t memory_rows) {
+  TempFileManager temp;
+  RowBuffer table = MakeTable(schema, 3000, 4, /*seed=*/18);
+  BufferScan scan(&schema, &table);
+  SortConfig config;
+  config.memory_rows = memory_rows;
+  config.fan_in = 4;
+  const uint32_t payload = schema.key_arity();
+  InSortAggregate agg(&scan, /*group_prefix=*/3,
+                      {{AggFn::kCount, 0},
+                       {AggFn::kSum, payload},
+                       {AggFn::kMin, payload},
+                       {AggFn::kMax, payload}},
+                      counters, &temp, config);
+  const RowVec out = DrainValidated(&agg);
+  std::map<std::vector<uint64_t>, std::vector<uint64_t>> reference;
+  for (size_t i = 0; i < table.size(); ++i) {
+    const uint64_t* row = table.row(i);
+    const uint64_t v = row[payload];
+    auto [it, fresh] = reference.try_emplace(
+        std::vector<uint64_t>(row, row + 3), std::vector<uint64_t>{0, 0, v, v});
+    std::vector<uint64_t>& acc = it->second;
+    ++acc[0];
+    acc[1] += v;
+    acc[2] = std::min(acc[2], v);
+    acc[3] = std::max(acc[3], v);
+  }
+  ASSERT_EQ(out.size(), reference.size());
+  for (const std::vector<uint64_t>& row : out) {
+    const std::vector<uint64_t> key(row.begin(), row.begin() + 3);
+    EXPECT_EQ(std::vector<uint64_t>(row.begin() + 3, row.end()),
+              reference[key]);
+  }
+  EXPECT_TRUE(temp.first_error().ok());
+}
+
+void GoldenInSortAggregateInMemory(const Schema& schema,
+                                   QueryCounters* counters) {
+  GoldenInSortAggregate(schema, counters, /*memory_rows=*/1 << 20);
+}
+
+// 12 spilled runs at fan-in 4: one intermediate, collapsing merge level.
+void GoldenInSortAggregateSpilling(const Schema& schema,
+                                   QueryCounters* counters) {
+  GoldenInSortAggregate(schema, counters, /*memory_rows=*/256);
+}
+
+// Flushes (11 full memtables plus the remainder at the first scan), a scan
+// over 12 runs, CompactAll, and a scan over the compacted run.
+void GoldenLsm(const Schema& schema, QueryCounters* counters, bool collapse) {
+  TempFileManager temp;
+  RowBuffer table = MakeTable(schema, 3000, 4, /*seed=*/19);
+  LsmForest::Options options;
+  options.memtable_rows = 256;
+  options.collapse = collapse;
+  options.collapse_fns.assign(schema.payload_columns(), StateMergeFn::kSum);
+  LsmForest forest(&schema, counters, &temp, options);
+  for (size_t i = 0; i < table.size(); ++i) forest.Insert(table.row(i));
+
+  RowVec expected;
+  if (collapse) {
+    const uint32_t arity = schema.key_arity();
+    std::map<std::vector<uint64_t>, uint64_t> sums;
+    for (size_t i = 0; i < table.size(); ++i) {
+      const uint64_t* row = table.row(i);
+      sums[std::vector<uint64_t>(row, row + arity)] += row[arity];
+    }
+    for (const auto& [key, sum] : sums) {
+      expected.push_back(key);
+      expected.back().push_back(sum);
+    }
+  } else {
+    expected = ToRowVec(table);
+  }
+  Canonicalize(&expected);
+  for (int pass = 0; pass < 2; ++pass) {
+    if (pass == 1) {
+      forest.CompactAll();
+      EXPECT_EQ(forest.run_count(), 1u);
+    }
+    std::unique_ptr<Operator> scan = forest.ScanAll();
+    RowVec out = DrainValidated(scan.get());
+    Canonicalize(&out);
+    EXPECT_EQ(out, expected);
+  }
+}
+
+void GoldenLsmPlain(const Schema& schema, QueryCounters* counters) {
+  GoldenLsm(schema, counters, /*collapse=*/false);
+}
+
+void GoldenLsmCollapsing(const Schema& schema, QueryCounters* counters) {
+  GoldenLsm(schema, counters, /*collapse=*/true);
+}
+
 struct GoldenCounts {
   uint64_t code_comparisons;
   uint64_t column_comparisons;
@@ -617,7 +719,9 @@ TEST_P(GoldenCountTest, CountsMatchRecordedValues) {
 constexpr KeyOrder kAsc = KeyOrder::kAscending;
 constexpr KeyOrder kMixed = KeyOrder::kMixed;
 
-// Expected values, recorded before the compare kernel moved into the header:
+// Expected values, recorded before the compare kernel moved into the header
+// (the in-sort aggregation and LSM cases: before both moved onto
+// ExternalSort's run steps):
 // {code, column, row, merge bypass, rows spilled, bytes spilled}.
 INSTANTIATE_TEST_SUITE_P(
     Loops, GoldenCountTest,
@@ -655,7 +759,23 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenCase{"set_operation_asc", 4, kAsc, GoldenSetOperation,
                    {254, 84, 0, 0, 0, 0}},
         GoldenCase{"set_operation_mixed", 4, kMixed, GoldenSetOperation,
-                   {254, 280, 0, 0, 0, 0}}),
+                   {254, 280, 0, 0, 0, 0}},
+        GoldenCase{"in_sort_aggregate_memory_asc", 4, kAsc,
+                   GoldenInSortAggregateInMemory, {40095, 5980, 0, 0, 0, 0}},
+        GoldenCase{"in_sort_aggregate_memory_mixed", 4, kMixed,
+                   GoldenInSortAggregateInMemory, {40095, 8642, 0, 0, 0, 0}},
+        GoldenCase{"in_sort_aggregate_spilling_asc", 4, kAsc,
+                   GoldenInSortAggregateSpilling, {28946, 5980, 0, 0, 937, 41754}},
+        GoldenCase{"in_sort_aggregate_spilling_mixed", 4, kMixed,
+                   GoldenInSortAggregateSpilling, {28946, 8642, 0, 0, 937, 41754}},
+        GoldenCase{"lsm_plain_asc", 4, kAsc, GoldenLsmPlain,
+                   {42338, 9822, 0, 4932, 6000, 85888}},
+        GoldenCase{"lsm_plain_mixed", 4, kMixed, GoldenLsmPlain,
+                   {42338, 16605, 0, 4932, 6000, 85888}},
+        GoldenCase{"lsm_collapsing_asc", 4, kAsc, GoldenLsmCollapsing,
+                   {42338, 9822, 0, 0, 2162, 47508}},
+        GoldenCase{"lsm_collapsing_mixed", 4, kMixed, GoldenLsmCollapsing,
+                   {42338, 16605, 0, 0, 2162, 47508}}),
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
       return info.param.name;
     });
