@@ -20,6 +20,7 @@
 #include "exec/operator.h"
 #include "row/comparator.h"
 #include "row/row_buffer.h"
+#include "sort/group_collapse.h"
 
 namespace ovc {
 
@@ -32,6 +33,20 @@ struct AggregateSpec {
   AggFn fn;
   uint32_t input_col;
 };
+
+/// How partial states of each aggregate merge: counts and sums add, minima
+/// and maxima keep the extreme (one entry per aggregate).
+std::vector<StateMergeFn> StateMergeFns(
+    const std::vector<AggregateSpec>& aggregates);
+
+/// Writes the aggregation state of the single input row `row` to `state`:
+/// its first `group_prefix` columns, then one accumulator per aggregate (a
+/// count contributes 1, every other aggregate its input column). State rows
+/// of the same group fold with MergeStateRow and StateMergeFns(aggregates);
+/// this is how the sort-based aggregates feed a collapsing sort.
+void MakeStateRow(const uint64_t* row, uint32_t group_prefix,
+                  const std::vector<AggregateSpec>& aggregates,
+                  uint64_t* state);
 
 /// In-stream (sorted-input) grouping and aggregation.
 class InStreamAggregate : public Operator {
@@ -53,10 +68,12 @@ class InStreamAggregate : public Operator {
                     std::vector<AggregateSpec> aggregates,
                     QueryCounters* counters, Options options = Options());
 
-  /// Output layout of grouping `in` on its first `group_prefix` key columns
-  /// with `num_aggregates` aggregate payload columns. Shared by every
-  /// aggregation strategy (in-stream, in-sort, hash), which is what lets
-  /// the planner swap one for another without changing the plan's schema.
+  /// Output layout of grouping `in` on its first `group_prefix` columns
+  /// with `num_aggregates` aggregate payload columns; group columns inside
+  /// `in`'s sort key keep their direction, others sort ascending. Shared by
+  /// every aggregation strategy (in-stream, in-sort, hash), which is what
+  /// lets the planner swap one for another without changing the plan's
+  /// schema; it is also the state-row layout of the sort-based strategies.
   static Schema MakeOutputSchema(const Schema& in, uint32_t group_prefix,
                                  size_t num_aggregates);
 

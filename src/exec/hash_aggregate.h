@@ -22,7 +22,6 @@
 #include "exec/operator.h"
 #include "row/row_buffer.h"
 #include "sort/external_sort.h"
-#include "sort/group_collapse.h"
 #include "sort/run_file.h"
 
 namespace ovc {
@@ -33,10 +32,10 @@ namespace ovc {
 /// Graceful degradation: with FallbackPolicy::kSortMerge, a group table
 /// that overflows `memory_groups` mid-Open degrades to in-sort aggregation
 /// instead of recursive partitioning: the resident partial-aggregate state
-/// rows plus every remaining input row (transformed to a state row, counts
-/// materialized as 1) feed one ExternalSort on the group key, and a
-/// CollapsingSource merges key-duplicate states on the pull side -- the
-/// Figure 5 sort-based plan, entered mid-query. Counted in
+/// rows plus every remaining input row (as a one-row state, MakeStateRow)
+/// feed one collapsing ExternalSort on the group key, which folds
+/// key-duplicate states at run generation, at every merge and at the final
+/// merge -- the Figure 5 sort-based plan, entered mid-query. Counted in
 /// QueryCounters::hash_agg_fallbacks.
 class HashAggregate : public Operator {
  public:
@@ -58,9 +57,6 @@ class HashAggregate : public Operator {
   bool has_ovc() const override { return false; }
 
  private:
-  static Schema MakeOutputSchema(const Schema& in, uint32_t group_prefix,
-                                 size_t num_aggregates);
-
   /// Accumulates `row` into the resident table; false when the table is
   /// full and the row's group is absent.
   bool TryAccumulate(const uint64_t* row);
@@ -74,12 +70,10 @@ class HashAggregate : public Operator {
   uint32_t PartitionOf(const uint64_t* row, uint32_t level);
 
   /// kSortMerge overflow path: moves the resident partial-aggregate state
-  /// rows into an ExternalSort over the state schema.
+  /// rows into a collapsing ExternalSort over the output schema.
   void BeginSortMergeFallback();
   /// Transforms one input row into a state row and adds it to the sort.
   void AddInputRowToFallback(const uint64_t* row);
-  /// Finishes the sort and stands up the collapsing pull path.
-  void FinishSortMergeFallback();
   /// Records `status` in the temp manager's error slot and stops output.
   void Degrade(const Status& status);
 
@@ -110,15 +104,12 @@ class HashAggregate : public Operator {
   RowBuffer output_queue_;
   size_t queue_pos_ = 0;
 
-  // In-sort continuation (kSortMerge overflow only). State rows are
-  // [group keys][one mergeable accumulator per aggregate]; the collapser
-  // folds key-duplicates (partial counts merge by summation).
+  // In-sort continuation (kSortMerge overflow only). State rows have the
+  // output layout: [group keys][one mergeable accumulator per aggregate].
   bool fell_back_ = false;
   bool failed_ = false;
-  std::unique_ptr<Schema> fb_state_schema_;
+  std::vector<StateMergeFn> merge_fns_;
   std::unique_ptr<ExternalSort> fb_sort_;
-  std::unique_ptr<MergeSource> fb_sort_source_;
-  std::unique_ptr<CollapsingSource> fb_collapse_;
   std::vector<uint64_t> fb_state_row_;
 };
 

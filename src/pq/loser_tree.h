@@ -56,7 +56,7 @@ class MergeSource {
 /// `Source` is the concrete input type; it only needs
 /// `bool Next(const uint64_t**, Ovc*)`. With `Source = MergeSource` (the
 /// `OvcMerger` alias below) inputs are pulled through a virtual call, which
-/// is what heterogeneous merges (exchange, LSM forests) need. Instantiated
+/// is what the merging exchange's heterogeneous inputs need. Instantiated
 /// over a `final` concrete source (InMemoryRunSource, RunFileReader) the
 /// compiler devirtualizes and inlines the per-row refill into the tournament
 /// loop -- the hot path of every external-sort merge -- so the inner loop
@@ -220,26 +220,6 @@ class OvcMergerT {
 
 /// The polymorphic merger: inputs pulled through the MergeSource vtable.
 using OvcMerger = OvcMergerT<MergeSource>;
-
-/// Adapts a row producer with `bool Next(RowRef*)` -- a merger, a finished
-/// ExternalSort -- to the MergeSource pull interface, e.g. as the input of
-/// a CollapsingSource.
-template <typename Producer>
-class ProducerSource final : public MergeSource {
- public:
-  explicit ProducerSource(Producer* producer) : producer_(producer) {}
-
-  bool Next(const uint64_t** row, Ovc* code) override {
-    RowRef ref;
-    if (!producer_->Next(&ref)) return false;
-    *row = ref.cols;
-    *code = ref.ovc;
-    return true;
-  }
-
- private:
-  Producer* producer_;
-};
 
 /// Sorts a batch of rows by building a tree of single-row runs and tearing
 /// it down. Produces output codes as a byproduct of the sort.

@@ -21,9 +21,9 @@ class MemoryRunSink : public RunSink {
   InMemoryRun* run_;
 };
 
-/// RunSink writing to a spilled run file. Write errors are latched rather
-/// than aborted on (RunSink::Accept cannot return a Status); the caller
-/// checks status() after the sort pass.
+/// RunSink writing to a run file. Write errors are latched rather than
+/// aborted on (RunSink::Accept cannot return a Status); the caller checks
+/// status() after the pass.
 class FileRunSink : public RunSink {
  public:
   explicit FileRunSink(RunFileWriter* writer) : writer_(writer) {}
@@ -38,19 +38,158 @@ class FileRunSink : public RunSink {
   Status status_ = Status::Ok();
 };
 
+/// Opens a run file at `path`, lets `fill` write it through a sink, and
+/// closes it into `run`.
+template <typename Fill>
+Status WriteRunFile(const Schema* schema, QueryCounters* counters,
+                    const std::string& path, SpilledRun* run, Fill fill) {
+  RunFileWriter writer(schema, counters);
+  OVC_RETURN_IF_ERROR(writer.Open(path));
+  FileRunSink sink(&writer);
+  fill(&sink);
+  OVC_RETURN_IF_ERROR(sink.status());
+  OVC_RETURN_IF_ERROR(writer.Close());
+  *run = SpilledRun{path, writer.rows()};
+  return Status::Ok();
+}
+
+/// Sorts `rows` into `sink` (see SortToRunFile).
+void SortRows(const Schema* schema, QueryCounters* counters,
+              const SortConfig& config, const RowBuffer& rows,
+              const std::vector<StateMergeFn>* merge_fns, RunSink* sink) {
+  OVC_TRACE_SPAN("sort.run_generation");
+  BatchSorter sorter(schema, counters, config.run_gen, config.mini_run_rows,
+                     config.use_ovc, config.naive_output_codes);
+  EmitMaybeCollapsed(schema, merge_fns, sink,
+                     [&](RunSink* s) { sorter.Sort(rows, s); });
+}
+
 }  // namespace
 
-ExternalSort::ExternalSort(const Schema* schema, QueryCounters* counters,
-                           TempFileManager* temp, SortConfig config)
+RunFileMerge::RunFileMerge(const Schema* schema, QueryCounters* counters,
+                           TempFileManager* error_sink,
+                           const SortConfig& config,
+                           const std::vector<StateMergeFn>* merge_fns)
     : schema_(schema),
       codec_(schema),
       comparator_(schema, counters),
+      error_sink_(error_sink),
+      config_(config),
+      merge_fns_(merge_fns) {
+  OVC_CHECK(merge_fns_ == nullptr || config_.use_ovc);
+}
+
+RunFileMerge::~RunFileMerge() = default;
+
+Status RunFileMerge::Open(const std::vector<SpilledRun>& runs) {
+  if (runs.empty()) return Status::Ok();
+  std::vector<RunFileReader*> sources;
+  for (const SpilledRun& run : runs) {
+    readers_.push_back(std::make_unique<RunFileReader>(schema_, error_sink_));
+    OVC_RETURN_IF_ERROR(readers_.back()->Open(run.path));
+    sources.push_back(readers_.back().get());
+  }
+  if (config_.use_ovc) {
+    OvcMergerT<RunFileReader>::Options options;
+    options.duplicate_bypass = config_.duplicate_bypass;
+    merger_ = std::make_unique<OvcMergerT<RunFileReader>>(
+        &codec_, &comparator_, sources, options);
+  } else {
+    std::vector<MergeSource*> plain_sources(sources.begin(), sources.end());
+    PlainMerger::Options options;
+    options.derive_output_codes = config_.naive_output_codes;
+    plain_merger_ = std::make_unique<PlainMerger>(&codec_, &comparator_,
+                                                  plain_sources, options);
+  }
+  if (merge_fns_ != nullptr) {
+    collapser_ =
+        std::make_unique<CollapsingSink>(schema_, *merge_fns_, &block_sink_);
+  }
+  return Status::Ok();
+}
+
+bool RunFileMerge::Next(RowRef* out) {
+  OVC_CHECK(merge_fns_ == nullptr);
+  if (merger_ != nullptr) return merger_->Next(out);
+  if (plain_merger_ != nullptr) return plain_merger_->Next(out);
+  return false;  // no runs
+}
+
+uint32_t RunFileMerge::NextBlock(RowBlock* out) {
+  if (merger_ != nullptr && collapser_ == nullptr) {
+    return merger_->NextBlock(out);
+  }
+  out->Clear();
+  RowRef ref;
+  if (collapser_ != nullptr) {
+    // Each merged row adds at most one (the previous group's) row to `out`,
+    // so stop at a full block; the group in progress stays pending in the
+    // collapser for the next call.
+    block_sink_.block = out;
+    while (!out->full() && merger_->Next(&ref)) {
+      collapser_->Accept(ref.cols, ref.ovc);
+    }
+    if (!out->full()) collapser_->Flush();  // the merge is exhausted
+  } else if (plain_merger_ != nullptr) {
+    while (!out->full() && plain_merger_->Next(&ref)) {
+      out->Append(ref.cols, ref.ovc);
+    }
+  }
+  return out->size();
+}
+
+void RunFileMerge::Drain(RunSink* sink) {
+  EmitMaybeCollapsed(schema_, merge_fns_, sink, [this](RunSink* s) {
+    RowRef ref;
+    if (merger_ != nullptr) {
+      while (merger_->Next(&ref)) s->Accept(ref.cols, ref.ovc);
+    } else if (plain_merger_ != nullptr) {
+      while (plain_merger_->Next(&ref)) {
+        s->Accept(ref.cols, codec_.MakeFromRow(ref.cols, 0));
+      }
+    }
+  });
+}
+
+Status SortToRunFile(const Schema* schema, QueryCounters* counters,
+                     const SortConfig& config, const RowBuffer& rows,
+                     const std::vector<StateMergeFn>* merge_fns,
+                     const std::string& path, SpilledRun* run) {
+  return WriteRunFile(schema, counters, path, run, [&](RunSink* sink) {
+    SortRows(schema, counters, config, rows, merge_fns, sink);
+  });
+}
+
+Status MergeToRunFile(const Schema* schema, QueryCounters* counters,
+                      TempFileManager* error_sink, const SortConfig& config,
+                      const std::vector<SpilledRun>& runs,
+                      const std::vector<StateMergeFn>* merge_fns,
+                      const std::string& path, SpilledRun* run) {
+  SortConfig merge_config = config;
+  merge_config.naive_output_codes = false;
+  RunFileMerge merge(schema, counters, error_sink, merge_config, merge_fns);
+  OVC_RETURN_IF_ERROR(merge.Open(runs));
+  return WriteRunFile(schema, counters, path, run,
+                      [&](RunSink* sink) { merge.Drain(sink); });
+}
+
+ExternalSort::ExternalSort(const Schema* schema, QueryCounters* counters,
+                           TempFileManager* temp, SortConfig config,
+                           const std::vector<StateMergeFn>* merge_fns)
+    : schema_(schema),
       counters_(counters),
       temp_(temp),
       config_(config),
+      merge_fns_(merge_fns),
       buffer_(schema->total_columns()) {
   OVC_CHECK(config_.memory_rows >= 2);
   OVC_CHECK(config_.fan_in >= 2);
+  if (merge_fns_ != nullptr) {
+    OVC_CHECK(merge_fns_->size() == schema->payload_columns());
+    config_.use_ovc = true;
+    config_.naive_output_codes = false;
+    config_.replacement_selection = false;
+  }
   if (config_.replacement_selection) {
     rs_ = std::make_unique<ReplacementSelection>(
         schema_, counters_, temp_,
@@ -110,20 +249,10 @@ void ExternalSort::DeferError(const Status& status) {
 Status ExternalSort::SpillBuffer() {
   if (buffer_.empty()) return Status::Ok();
   OVC_TRACE_SPAN("sort.spill_run");
-  BatchSorter sorter(schema_, counters_, config_.run_gen,
-                     config_.mini_run_rows, config_.use_ovc,
-                     config_.naive_output_codes);
-  RunFileWriter writer(schema_, counters_);
-  const std::string path = temp_->NewPath("run");
-  OVC_RETURN_IF_ERROR(writer.Open(path));
-  FileRunSink sink(&writer);
-  {
-    OVC_TRACE_SPAN("sort.run_generation");
-    sorter.Sort(buffer_, &sink);
-  }
-  OVC_RETURN_IF_ERROR(sink.status());
-  OVC_RETURN_IF_ERROR(writer.Close());
-  runs_.push_back(SpilledRun{path, writer.rows()});
+  SpilledRun run;
+  OVC_RETURN_IF_ERROR(SortToRunFile(schema_, counters_, config_, buffer_,
+                                    merge_fns_, temp_->NewPath("run"), &run));
+  runs_.push_back(run);
   ++spilled_runs_;
   OVC_METRIC_COUNTER("sort.runs_spilled",
                      "Sorted runs written to temporary storage")
@@ -136,7 +265,7 @@ Status ExternalSort::Finish() {
   OVC_CHECK(!finished_);
   finished_ = true;
   // A spill error during intake fails the whole sort; Next()/NextBlock()
-  // then serve nothing (no merger is prepared).
+  // then serve nothing (no merge is prepared).
   if (!deferred_error_.ok()) return deferred_error_;
 
   if (rs_ != nullptr) {
@@ -149,14 +278,12 @@ Status ExternalSort::Finish() {
 
   if (runs_.empty()) {
     // Input fits in memory: sort and serve without spilling.
-    OVC_TRACE_SPAN("sort.run_generation");
     memory_run_ = std::make_unique<InMemoryRun>(schema_->total_columns());
-    memory_run_->Reserve(buffer_.size());
-    BatchSorter sorter(schema_, counters_, config_.run_gen,
-                       config_.mini_run_rows, config_.use_ovc,
-                       config_.naive_output_codes);
+    // A collapsed run holds one row per group, usually far fewer than the
+    // input; let it grow instead.
+    if (merge_fns_ == nullptr) memory_run_->Reserve(buffer_.size());
     MemoryRunSink sink(memory_run_.get());
-    sorter.Sort(buffer_, &sink);
+    SortRows(schema_, counters_, config_, buffer_, merge_fns_, &sink);
     memory_source_ =
         std::make_unique<InMemoryRunSource>(memory_run_.get());
     return Status::Ok();
@@ -176,66 +303,26 @@ Status ExternalSort::PrepareMerge(std::vector<SpilledRun> runs) {
         .Increment();
     std::vector<SpilledRun> next_level;
     for (size_t begin = 0; begin < runs.size(); begin += config_.fan_in) {
-      const size_t count =
-          std::min<size_t>(config_.fan_in, runs.size() - begin);
-      if (count == 1) {
+      const size_t end = std::min<size_t>(begin + config_.fan_in, runs.size());
+      if (end - begin == 1) {
         next_level.push_back(runs[begin]);
         continue;
       }
-      std::vector<std::unique_ptr<RunFileReader>> readers;
-      std::vector<RunFileReader*> sources;
-      for (size_t i = 0; i < count; ++i) {
-        readers.push_back(std::make_unique<RunFileReader>(schema_, temp_));
-        OVC_RETURN_IF_ERROR(readers.back()->Open(runs[begin + i].path));
-        sources.push_back(readers.back().get());
-      }
-      RunFileWriter writer(schema_, counters_);
-      const std::string path = temp_->NewPath("merge");
-      OVC_RETURN_IF_ERROR(writer.Open(path));
-      RowRef ref;
-      if (config_.use_ovc) {
-        OvcMergerT<RunFileReader>::Options options;
-        options.duplicate_bypass = config_.duplicate_bypass;
-        OvcMergerT<RunFileReader> merger(&codec_, &comparator_, sources,
-                                         options);
-        while (merger.Next(&ref)) {
-          OVC_RETURN_IF_ERROR(writer.Append(ref.cols, ref.ovc));
-        }
-      } else {
-        std::vector<MergeSource*> plain_sources(sources.begin(),
-                                                sources.end());
-        PlainMerger merger(&codec_, &comparator_, plain_sources);
-        while (merger.Next(&ref)) {
-          OVC_RETURN_IF_ERROR(
-              writer.Append(ref.cols, codec_.MakeFromRow(ref.cols, 0)));
-        }
-      }
-      OVC_RETURN_IF_ERROR(writer.Close());
-      next_level.push_back(SpilledRun{path, writer.rows()});
+      const std::vector<SpilledRun> group(runs.begin() + begin,
+                                          runs.begin() + end);
+      SpilledRun merged;
+      OVC_RETURN_IF_ERROR(MergeToRunFile(schema_, counters_, temp_, config_,
+                                         group, merge_fns_,
+                                         temp_->NewPath("merge"), &merged));
+      next_level.push_back(merged);
     }
     runs = std::move(next_level);
   }
 
   // Final merge, served incrementally through Next()/NextBlock().
-  std::vector<RunFileReader*> sources;
-  for (const SpilledRun& run : runs) {
-    readers_.push_back(std::make_unique<RunFileReader>(schema_, temp_));
-    OVC_RETURN_IF_ERROR(readers_.back()->Open(run.path));
-    sources.push_back(readers_.back().get());
-  }
-  if (config_.use_ovc) {
-    OvcMergerT<RunFileReader>::Options options;
-    options.duplicate_bypass = config_.duplicate_bypass;
-    merger_ = std::make_unique<OvcMergerT<RunFileReader>>(
-        &codec_, &comparator_, sources, options);
-  } else {
-    std::vector<MergeSource*> plain_sources(sources.begin(), sources.end());
-    PlainMerger::Options options;
-    options.derive_output_codes = config_.naive_output_codes;
-    plain_merger_ = std::make_unique<PlainMerger>(&codec_, &comparator_,
-                                                  plain_sources, options);
-  }
-  return Status::Ok();
+  merge_ = std::make_unique<RunFileMerge>(schema_, counters_, temp_, config_,
+                                          merge_fns_);
+  return merge_->Open(runs);
 }
 
 bool ExternalSort::Next(RowRef* out) {
@@ -248,12 +335,7 @@ bool ExternalSort::Next(RowRef* out) {
     out->ovc = code;
     return true;
   }
-  if (merger_ != nullptr) {
-    return merger_->Next(out);
-  }
-  if (plain_merger_ != nullptr) {
-    return plain_merger_->Next(out);
-  }
+  if (merge_ != nullptr) return merge_->Next(out);
   return false;  // empty input
 }
 
@@ -271,16 +353,7 @@ uint32_t ExternalSort::NextBlock(RowBlock* out) {
     out->RefContiguous(rows, codes, n);
     return n;
   }
-  if (merger_ != nullptr) {
-    return merger_->NextBlock(out);
-  }
-  if (plain_merger_ != nullptr) {
-    RowRef ref;
-    while (!out->full() && plain_merger_->Next(&ref)) {
-      out->Append(ref.cols, ref.ovc);
-    }
-    return out->size();
-  }
+  if (merge_ != nullptr) return merge_->NextBlock(out);
   return 0;  // empty input
 }
 

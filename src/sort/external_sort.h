@@ -6,12 +6,23 @@
 // the run count exceeds the merge fan-in. Offset-value codes are produced
 // during run generation, stored in the run format (as truncated prefixes),
 // exploited during merging, and delivered with every output row.
+//
+// Given state-merge functions, the same pipeline is in-sort aggregation
+// (Figure 5's sort-based plan): run generation, every intermediate merge
+// and the final merge collapse key-duplicate rows -- detected from their
+// duplicate codes alone -- so a spilled run holds at most one row per group
+// and the output holds exactly one.
+//
+// The run steps (sort rows into a run file, merge run files into one, merge
+// run files into a block stream) are public: LSM maintenance is built from
+// the same three.
 
 #ifndef OVC_SORT_EXTERNAL_SORT_H_
 #define OVC_SORT_EXTERNAL_SORT_H_
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/counters.h"
@@ -22,6 +33,7 @@
 #include "pq/plain_loser_tree.h"
 #include "row/row_block.h"
 #include "row/row_buffer.h"
+#include "sort/group_collapse.h"
 #include "sort/run.h"
 #include "sort/run_file.h"
 #include "sort/run_generation.h"
@@ -52,13 +64,88 @@ struct SortConfig {
   bool naive_output_codes = false;
 };
 
+/// Merges sorted run files into one sorted, coded stream, collapsing
+/// key-duplicates when given state-merge functions. Uses the configuration's
+/// use_ovc, duplicate_bypass and naive_output_codes.
+class RunFileMerge {
+ public:
+  /// `schema`, `counters` (optional), `error_sink` and `merge_fns` must
+  /// outlive the merge. `error_sink` is passed to every RunFileReader
+  /// (nullptr: a corrupt run file aborts). `merge_fns` (optional, one per
+  /// payload column) turns on collapse, which needs use_ovc.
+  RunFileMerge(const Schema* schema, QueryCounters* counters,
+               TempFileManager* error_sink, const SortConfig& config,
+               const std::vector<StateMergeFn>* merge_fns = nullptr);
+  ~RunFileMerge();
+
+  /// Opens every run; no runs make an empty stream.
+  Status Open(const std::vector<SpilledRun>& runs);
+
+  /// Next merged row. Not available with collapse.
+  bool Next(RowRef* out);
+
+  /// Fills `out` with up to out->capacity() rows (codes follow the stream
+  /// contract across blocks). Returns the row count, 0 at end.
+  uint32_t NextBlock(RowBlock* out);
+
+  /// Feeds every remaining row to `sink`. Without use_ovc the rows carry
+  /// offset-0 codes.
+  void Drain(RunSink* sink);
+
+ private:
+  /// RunSink appending to the block NextBlock is filling.
+  struct BlockSink final : RunSink {
+    void Accept(const uint64_t* row, Ovc code) override {
+      block->Append(row, code);
+    }
+    RowBlock* block = nullptr;
+  };
+
+  const Schema* schema_;
+  OvcCodec codec_;
+  KeyComparator comparator_;
+  TempFileManager* error_sink_;
+  SortConfig config_;
+  const std::vector<StateMergeFn>* merge_fns_;
+  std::vector<std::unique_ptr<RunFileReader>> readers_;
+  // Exactly one merger serves a non-empty stream. The OVC merge runs over
+  // concrete RunFileReader sources so the tournament's refill calls
+  // devirtualize (see pq/loser_tree.h).
+  std::unique_ptr<OvcMergerT<RunFileReader>> merger_;
+  std::unique_ptr<PlainMerger> plain_merger_;
+  BlockSink block_sink_;
+  std::unique_ptr<CollapsingSink> collapser_;  // NextBlock with collapse
+};
+
+/// Sorts `rows` (one batch run generation per `config`) into a new run file
+/// at `path`, collapsing key-duplicates when `merge_fns` is set, and
+/// describes the file in `run`.
+Status SortToRunFile(const Schema* schema, QueryCounters* counters,
+                     const SortConfig& config, const RowBuffer& rows,
+                     const std::vector<StateMergeFn>* merge_fns,
+                     const std::string& path, SpilledRun* run);
+
+/// Merges `runs` into a new run file at `path` and describes it in `run`.
+/// Arguments as for RunFileMerge; the merge derives no naive codes (a
+/// run stored without use_ovc keeps offset-0 codes, i.e. full keys).
+Status MergeToRunFile(const Schema* schema, QueryCounters* counters,
+                      TempFileManager* error_sink, const SortConfig& config,
+                      const std::vector<SpilledRun>& runs,
+                      const std::vector<StateMergeFn>* merge_fns,
+                      const std::string& path, SpilledRun* run);
+
 /// Sorts a stream of rows. Push rows with Add(), call Finish(), then pull
-/// the sorted, offset-value-coded output with Next().
+/// the sorted, offset-value-coded output with Next() or NextBlock().
 class ExternalSort {
  public:
-  /// `schema`, `counters` (optional), and `temp` must outlive the sort.
+  /// `schema`, `counters` (optional), `temp` and `merge_fns` must outlive
+  /// the sort. `merge_fns` (one per payload column) makes the sort collapse
+  /// key-duplicates at every stage; a collapsing sort always runs with
+  /// codes (use_ovc on, naive_output_codes and replacement_selection off),
+  /// because duplicates are recognized from their codes.
   ExternalSort(const Schema* schema, QueryCounters* counters,
-               TempFileManager* temp, SortConfig config);
+               TempFileManager* temp, SortConfig config,
+               const std::vector<StateMergeFn>* merge_fns = nullptr);
   ~ExternalSort();
 
   /// Adds one input row (copied). Spill I/O errors during intake do not
@@ -76,7 +163,7 @@ class ExternalSort {
   Status Finish();
 
   /// Produces the next output row in sort order with its code. Valid only
-  /// after Finish().
+  /// after Finish(), and not for a collapsing sort that spilled.
   bool Next(RowRef* out);
 
   /// Block-sized output: fills `out` with up to out->capacity() sorted rows
@@ -98,11 +185,10 @@ class ExternalSort {
   void DeferError(const Status& status);
 
   const Schema* schema_;
-  OvcCodec codec_;
-  KeyComparator comparator_;
   QueryCounters* counters_;
   TempFileManager* temp_;
   SortConfig config_;
+  const std::vector<StateMergeFn>* merge_fns_;
 
   RowBuffer buffer_;
   std::unique_ptr<ReplacementSelection> rs_;
@@ -112,14 +198,10 @@ class ExternalSort {
   bool finished_ = false;
   Status deferred_error_ = Status::Ok();
 
-  // Output plumbing: exactly one of these serves Next(). The final OVC
-  // merge runs over concrete RunFileReader sources so the tournament's
-  // refill calls devirtualize (see pq/loser_tree.h).
+  // Output: an in-memory run or the final merge of the spilled runs.
   std::unique_ptr<InMemoryRun> memory_run_;
   std::unique_ptr<InMemoryRunSource> memory_source_;
-  std::vector<std::unique_ptr<RunFileReader>> readers_;
-  std::unique_ptr<OvcMergerT<RunFileReader>> merger_;
-  std::unique_ptr<PlainMerger> plain_merger_;
+  std::unique_ptr<RunFileMerge> merge_;
 };
 
 }  // namespace ovc

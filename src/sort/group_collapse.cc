@@ -59,57 +59,4 @@ void CollapsingSink::Flush() {
   }
 }
 
-CollapsingSource::CollapsingSource(const Schema* schema,
-                                   std::vector<StateMergeFn> fns,
-                                   MergeSource* inner)
-    : schema_(schema),
-      codec_(schema),
-      fns_(std::move(fns)),
-      inner_(inner),
-      current_(schema->total_columns(), 0),
-      lookahead_(schema->total_columns(), 0) {
-  OVC_CHECK(fns_.size() == schema->payload_columns());
-}
-
-bool CollapsingSource::Next(const uint64_t** row, Ovc* code) {
-  if (done_ && !has_lookahead_) return false;
-  // Load the group's first row.
-  if (has_lookahead_) {
-    current_.swap(lookahead_);
-    current_code_ = lookahead_code_;
-    has_lookahead_ = false;
-  } else {
-    const uint64_t* r = nullptr;
-    Ovc c = 0;
-    if (!inner_->Next(&r, &c)) {
-      done_ = true;
-      return false;
-    }
-    std::memcpy(current_.data(), r,
-                schema_->total_columns() * sizeof(uint64_t));
-    current_code_ = c;
-  }
-  // Fold duplicates until the next group (or end of input).
-  while (true) {
-    const uint64_t* r = nullptr;
-    Ovc c = 0;
-    if (!inner_->Next(&r, &c)) {
-      done_ = true;
-      break;
-    }
-    if (codec_.IsDuplicate(c)) {
-      MergeStateRow(*schema_, fns_, r, current_.data());
-      continue;
-    }
-    std::memcpy(lookahead_.data(), r,
-                schema_->total_columns() * sizeof(uint64_t));
-    lookahead_code_ = c;
-    has_lookahead_ = true;
-    break;
-  }
-  *row = current_.data();
-  *code = current_code_;
-  return true;
-}
-
 }  // namespace ovc

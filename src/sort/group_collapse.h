@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "core/ovc.h"
-#include "pq/loser_tree.h"
 #include "row/schema.h"
 #include "sort/run_generation.h"
 
@@ -49,7 +48,8 @@ class CollapsingSink : public RunSink {
 
   void Accept(const uint64_t* row, Ovc code) override;
 
-  /// Emits the pending group; call exactly once after the stream ends.
+  /// Emits the pending group; call after the stream ends (a second call
+  /// emits nothing).
   void Flush();
 
   /// Groups emitted so far.
@@ -66,28 +66,22 @@ class CollapsingSink : public RunSink {
   uint64_t groups_ = 0;
 };
 
-/// MergeSource decorator: collapses key-duplicates of the wrapped sorted
-/// source on the fly (pull side of the same transformation).
-class CollapsingSource : public MergeSource {
- public:
-  CollapsingSource(const Schema* schema, std::vector<StateMergeFn> fns,
-                   MergeSource* inner);
-
-  bool Next(const uint64_t** row, Ovc* code) override;
-
- private:
-  const Schema* schema_;
-  OvcCodec codec_;
-  std::vector<StateMergeFn> fns_;
-  MergeSource* inner_;
-  std::vector<uint64_t> current_;
-  Ovc current_code_ = 0;
-  std::vector<uint64_t> lookahead_;
-  Ovc lookahead_code_ = 0;
-  bool has_lookahead_ = false;
-  bool started_ = false;
-  bool done_ = false;
-};
+/// Feeds the sorted, coded stream that `emit` writes into the RunSink it is
+/// given to `sink`: through a CollapsingSink when `fns` is set, directly
+/// otherwise. The one place a run step chooses between sorting and
+/// sorting with collapse.
+template <typename Emit>
+void EmitMaybeCollapsed(const Schema* schema,
+                        const std::vector<StateMergeFn>* fns, RunSink* sink,
+                        Emit emit) {
+  if (fns == nullptr) {
+    emit(sink);
+    return;
+  }
+  CollapsingSink collapser(schema, *fns, sink);
+  emit(&collapser);
+  collapser.Flush();
+}
 
 }  // namespace ovc
 

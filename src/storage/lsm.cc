@@ -1,99 +1,45 @@
 #include "storage/lsm.h"
 
-#include "core/ovc.h"
-#include "pq/loser_tree.h"
-#include "sort/run_generation.h"
+#include "sort/external_sort.h"
 
 namespace ovc {
 
 namespace {
 
-/// Sink spilling a generated run to a file.
-class FileSink : public RunSink {
- public:
-  explicit FileSink(RunFileWriter* writer) : writer_(writer) {}
-  void Accept(const uint64_t* row, Ovc code) override {
-    OVC_CHECK_OK(writer_->Append(row, code));
-  }
-
- private:
-  RunFileWriter* writer_;
-};
-
-/// Operator merging a set of run files (owns readers and merger). With
-/// collapsing enabled, key-duplicates across runs fold at scan time so a
-/// query always sees the fully aggregated view.
+/// Operator over the forest's runs: the sort layer's final merge, with
+/// collapse when the forest aggregates. Readers abort on a corrupt run file
+/// (the forest owns its files).
 class ForestScan : public Operator {
  public:
   ForestScan(const Schema* schema, QueryCounters* counters,
-             std::vector<std::string> paths, bool collapse,
-             std::vector<StateMergeFn> collapse_fns)
+             std::vector<SpilledRun> runs,
+             const std::vector<StateMergeFn>* collapse_fns)
       : schema_(schema),
-        codec_(schema),
-        comparator_(schema, counters),
-        paths_(std::move(paths)),
-        collapse_(collapse),
-        collapse_fns_(std::move(collapse_fns)) {}
+        counters_(counters),
+        runs_(std::move(runs)),
+        collapse_fns_(collapse_fns) {}
 
   void Open() override {
-    readers_.clear();
-    if (paths_.empty()) return;  // empty forest
-    std::vector<RunFileReader*> sources;
-    for (const std::string& path : paths_) {
-      readers_.push_back(std::make_unique<RunFileReader>(schema_));
-      OVC_CHECK_OK(readers_.back()->Open(path));
-      sources.push_back(readers_.back().get());
-    }
-    merger_ = std::make_unique<RunMerger>(&codec_, &comparator_, sources);
-    if (collapse_) {
-      merger_source_ =
-          std::make_unique<ProducerSource<RunMerger>>(merger_.get());
-      collapser_ = std::make_unique<CollapsingSource>(
-          schema_, collapse_fns_, merger_source_.get());
-    }
+    merge_ = std::make_unique<RunFileMerge>(schema_, counters_,
+                                            /*error_sink=*/nullptr,
+                                            SortConfig(), collapse_fns_);
+    OVC_CHECK_OK(merge_->Open(runs_));
   }
 
-  uint32_t NextBatch(RowBlock* out) override {
-    if (collapser_ != nullptr) {
-      return FillBlock(out, [this](RowBlock* block) {
-        const uint64_t* row = nullptr;
-        Ovc code = 0;
-        if (!collapser_->Next(&row, &code)) return false;
-        block->Append(row, code);
-        return true;
-      });
-    }
-    if (merger_ == nullptr) {
-      out->Clear();
-      return 0;
-    }
-    return merger_->NextBlock(out);
-  }
+  uint32_t NextBatch(RowBlock* out) override { return merge_->NextBlock(out); }
 
-  void Close() override {
-    collapser_.reset();
-    merger_source_.reset();
-    merger_.reset();
-    readers_.clear();
-  }
+  void Close() override { merge_.reset(); }
 
   const Schema& schema() const override { return *schema_; }
   bool sorted() const override { return true; }
   bool has_ovc() const override { return true; }
 
  private:
-  using RunMerger = OvcMergerT<RunFileReader>;
-
   const Schema* schema_;
-  OvcCodec codec_;
-  KeyComparator comparator_;
-  std::vector<std::string> paths_;
-  bool collapse_;
-  std::vector<StateMergeFn> collapse_fns_;
-  std::vector<std::unique_ptr<RunFileReader>> readers_;
-  std::unique_ptr<RunMerger> merger_;
-  std::unique_ptr<MergeSource> merger_source_;
-  std::unique_ptr<CollapsingSource> collapser_;
+  QueryCounters* counters_;
+  std::vector<SpilledRun> runs_;
+  const std::vector<StateMergeFn>* collapse_fns_;
+  std::unique_ptr<RunFileMerge> merge_;
 };
 
 }  // namespace
@@ -125,69 +71,29 @@ void LsmForest::Insert(const uint64_t* row) {
 
 void LsmForest::Flush() {
   if (memtable_.empty()) return;
-  BatchSorter sorter(schema_, counters_, RunGenMode::kPqSingleRowRuns,
-                     /*mini_run_rows=*/1024, /*use_ovc=*/true,
-                     /*naive_codes=*/false);
-  RunFileWriter writer(schema_, counters_);
-  const std::string path = temp_->NewPath("lsm-run");
-  OVC_CHECK_OK(writer.Open(path));
-  FileSink sink(&writer);
-  if (options_.collapse) {
-    // Aggregating maintenance: key-duplicates collapse already at flush.
-    CollapsingSink collapser(schema_, options_.collapse_fns, &sink);
-    sorter.Sort(memtable_, &collapser);
-    collapser.Flush();
-  } else {
-    sorter.Sort(memtable_, &sink);
-  }
-  OVC_CHECK_OK(writer.Close());
-  runs_.push_back(SpilledRun{path, writer.rows()});
+  // Aggregating maintenance collapses key-duplicates already at flush.
+  SpilledRun run;
+  OVC_CHECK_OK(SortToRunFile(schema_, counters_, SortConfig(), memtable_,
+                             collapse_fns(), temp_->NewPath("lsm-run"),
+                             &run));
+  runs_.push_back(run);
   memtable_.Clear();
 }
 
 void LsmForest::CompactAll() {
   if (runs_.size() <= 1) return;
-  OvcCodec codec(schema_);
-  KeyComparator comparator(schema_, counters_);
-  std::vector<std::unique_ptr<RunFileReader>> readers;
-  std::vector<MergeSource*> sources;
-  for (const SpilledRun& run : runs_) {
-    readers.push_back(std::make_unique<RunFileReader>(schema_));
-    OVC_CHECK_OK(readers.back()->Open(run.path));
-    sources.push_back(readers.back().get());
-  }
-  RunFileWriter writer(schema_, counters_);
-  const std::string path = temp_->NewPath("lsm-compact");
-  OVC_CHECK_OK(writer.Open(path));
-  OvcMerger merger(&codec, &comparator, sources);
-  FileSink sink(&writer);
-  RowRef ref;
-  if (options_.collapse) {
-    CollapsingSink collapser(schema_, options_.collapse_fns, &sink);
-    while (merger.Next(&ref)) {
-      collapser.Accept(ref.cols, ref.ovc);
-    }
-    collapser.Flush();
-  } else {
-    while (merger.Next(&ref)) {
-      sink.Accept(ref.cols, ref.ovc);
-    }
-  }
-  OVC_CHECK_OK(writer.Close());
-  runs_.clear();
-  runs_.push_back(SpilledRun{path, writer.rows()});
+  SpilledRun run;
+  OVC_CHECK_OK(MergeToRunFile(schema_, counters_, /*error_sink=*/nullptr,
+                              SortConfig(), runs_, collapse_fns(),
+                              temp_->NewPath("lsm-compact"), &run));
+  runs_.assign(1, run);
   ++compactions_;
 }
 
 std::unique_ptr<Operator> LsmForest::ScanAll() {
   Flush();
-  std::vector<std::string> paths;
-  for (const SpilledRun& run : runs_) {
-    paths.push_back(run.path);
-  }
-  return std::make_unique<ForestScan>(schema_, counters_, std::move(paths),
-                                      options_.collapse,
-                                      options_.collapse_fns);
+  return std::make_unique<ForestScan>(schema_, counters_, runs_,
+                                      collapse_fns());
 }
 
 }  // namespace ovc

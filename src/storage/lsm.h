@@ -7,7 +7,8 @@
 // as a byproduct) into a prefix-truncated run file. Queries merge all runs
 // plus the memtable with an OVC tree-of-losers merge and deliver a single
 // sorted, coded stream. Compaction merges runs into one, again exploiting
-// and reproducing codes.
+// and reproducing codes. All three are the external sort's own run steps
+// (sort/external_sort.h), with its collapse for aggregating maintenance.
 
 #ifndef OVC_STORAGE_LSM_H_
 #define OVC_STORAGE_LSM_H_
@@ -74,6 +75,11 @@ class LsmForest {
   uint64_t compactions() const { return compactions_; }
 
  private:
+  /// The state-merge functions when the forest collapses, else nullptr.
+  const std::vector<StateMergeFn>* collapse_fns() const {
+    return options_.collapse ? &options_.collapse_fns : nullptr;
+  }
+
   const Schema* schema_;
   QueryCounters* counters_;
   TempFileManager* temp_;

@@ -19,6 +19,8 @@
 
 #include "common/counters.h"
 #include "common/trace.h"
+#include "exec/in_sort_aggregate.h"
+#include "exec/scan.h"
 #include "sql/catalog.h"
 #include "sql/session.h"
 #include "tests/test_util.h"
@@ -29,8 +31,11 @@ namespace {
 using metrics::Counter;
 using metrics::Histogram;
 using metrics::MetricRegistry;
+using ovc::testing::DrainValidated;
 using ovc::testing::JsonReader;
 using ovc::testing::JsonValue;
+using ovc::testing::MakeTable;
+using ovc::testing::RowVec;
 using sql::Catalog;
 using sql::QueryResult;
 using sql::SqlSession;
@@ -109,6 +114,33 @@ TEST(MetricRegistry, HistogramPercentilesOnKnownDistribution) {
     }
   }
   EXPECT_EQ(bucket_total, 1000u);
+}
+
+TEST(MetricRegistry, InSortAggregateSpillsCountAsSortRuns) {
+  // In-sort aggregation spills through ExternalSort, so its runs and merge
+  // levels show up in the sort.* metrics: 5000 rows at 256 per run are 20
+  // spilled runs (19 full buffers and the rest at Finish), and fan-in 4
+  // merges them in two intermediate levels (20 -> 5 -> 2).
+  Counter& runs = MetricRegistry::Instance().GetCounter("sort.runs_spilled", "");
+  Counter& levels =
+      MetricRegistry::Instance().GetCounter("sort.merge_levels", "");
+  const uint64_t runs_before = runs.value();
+  const uint64_t levels_before = levels.value();
+  Schema schema(2, 1);
+  RowBuffer table = MakeTable(schema, 5000, 50, /*seed=*/405);
+  BufferScan scan(&schema, &table);
+  QueryCounters counters;
+  TempFileManager temp;
+  SortConfig config;
+  config.memory_rows = 256;
+  config.fan_in = 4;
+  InSortAggregate agg(&scan, /*group_prefix=*/2, {{AggFn::kCount, 0}},
+                      &counters, &temp, config);
+  const RowVec out = DrainValidated(&agg);
+  EXPECT_FALSE(out.empty());
+  EXPECT_GT(counters.rows_spilled, 0u);
+  EXPECT_EQ(runs.value() - runs_before, 20u);
+  EXPECT_EQ(levels.value() - levels_before, 2u);
 }
 
 TEST(MetricRegistry, SnapshotsRoundTrip) {

@@ -2,6 +2,7 @@
 // order-preserving hash join (4.9), grace hash join and hash aggregation
 // baselines.
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -288,6 +289,51 @@ TEST(HashAggregate, MatchesInStreamAggregate) {
   Canonicalize(&exp);
   EXPECT_EQ(out1, exp);
   EXPECT_EQ(out2, exp);
+}
+
+TEST(HashAggregate, SortMergeFallbackCollapsesAtEveryStage) {
+  // 20000 rows in ~2000 groups overflow a 64-group table; the fallback
+  // sort holds 1000 state rows, so it spills about 20 runs. Collapsing at
+  // run generation spills fewer rows than it takes in, and collapsing
+  // before every merge leaves no key-duplicates for the merge bypass.
+  Schema schema(2, 1);
+  RowBuffer table = MakeTable(schema, 20000, 45, /*seed=*/82);
+  BufferScan scan(&schema, &table);
+  QueryCounters counters;
+  TempFileManager temp;
+  SortConfig sort_config;
+  sort_config.memory_rows = 1000;
+  HashAggregate agg(&scan, /*group_prefix=*/2,
+                    {{AggFn::kCount, 0},
+                     {AggFn::kSum, 2},
+                     {AggFn::kMin, 2},
+                     {AggFn::kMax, 2}},
+                    /*memory_groups=*/64, &counters, &temp, /*partitions=*/16,
+                    FallbackPolicy::kSortMerge, sort_config);
+  RowVec out = DrainValidated(&agg, /*check_codes=*/false);
+  EXPECT_TRUE(temp.first_error().ok());
+
+  std::map<std::pair<uint64_t, uint64_t>, std::vector<uint64_t>> reference;
+  for (size_t i = 0; i < table.size(); ++i) {
+    const uint64_t* row = table.row(i);
+    auto [it, fresh] = reference.try_emplace(
+        std::make_pair(row[0], row[1]),
+        std::vector<uint64_t>{0, 0, row[2], row[2]});
+    std::vector<uint64_t>& acc = it->second;
+    ++acc[0];
+    acc[1] += row[2];
+    acc[2] = std::min(acc[2], row[2]);
+    acc[3] = std::max(acc[3], row[2]);
+  }
+  ASSERT_GT(reference.size(), 1900u);
+  ASSERT_EQ(out.size(), reference.size());
+  for (const std::vector<uint64_t>& row : out) {
+    EXPECT_EQ(std::vector<uint64_t>(row.begin() + 2, row.end()),
+              (reference[{row[0], row[1]}]));
+  }
+  EXPECT_EQ(counters.hash_agg_fallbacks, 1u);
+  EXPECT_LT(counters.rows_spilled, table.size());
+  EXPECT_EQ(counters.merge_bypass_rows, 0u);
 }
 
 TEST(HashKeyPrefix, TouchesEveryColumnAndCounts) {

@@ -13,7 +13,8 @@
 #
 # Usage: tools/check_docs.sh [-B build_dir]     (default build dir: build)
 #
-# Wired into .github/workflows/ci.yml after the build step.
+# Wired into .github/workflows/ci.yml after the build step, and registered
+# as the `check_docs` ctest entry so a local ctest run replays it too.
 
 set -euo pipefail
 
