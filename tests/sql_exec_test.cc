@@ -6,6 +6,9 @@
 
 #include <functional>
 #include <memory>
+#include <regex>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -481,6 +484,293 @@ TEST_F(SqlExecTest, RuleBasedPolicyReproducesPrePR5PlanShapes) {
           << prepared.value()->explain_text();
     }
   }
+}
+
+// --- Golden EXPLAIN --------------------------------------------------------
+
+/// One pinned plan: a statement, the planner knobs it is planned under,
+/// and everything PhysicalPlan reports about the plan it gets.
+struct GoldenPlan {
+  const char* sql;
+  uint32_t parallelism;
+  plan::CostPolicy policy;
+  /// The in-memory hash join's residency vouch, and the hash budget (0
+  /// keeps the default).
+  bool assume_build_fits_memory;
+  uint64_t hash_memory_rows;
+  const char* explain;
+  /// PhysicalAlgName of every algorithm Uses() reports, space-separated.
+  const char* uses;
+  uint32_t inserted_sorts;
+  uint32_t explicit_sorts;
+  uint32_t elided_sorts;
+  uint32_t parallel_workers;
+  double root_rows;
+  double root_cost;
+};
+
+/// EXPLAIN ANALYZE text without its actuals and trailer: every
+/// "{rows=E/A cost=C time=... spill=S} flags" becomes "{rows=E cost=C}",
+/// and the "-- wall=..." summary line is dropped.
+std::string StripActuals(const std::string& analyzed) {
+  static const std::regex kActuals(R"(\{rows=(\d+)/\d+ cost=(\d+) [^}]*\}.*)");
+  std::string out;
+  size_t at = 0;
+  while (at < analyzed.size()) {
+    size_t end = analyzed.find('\n', at);
+    if (end == std::string::npos) end = analyzed.size();
+    const std::string line = analyzed.substr(at, end - at);
+    at = end + 1;
+    if (line.rfind("-- wall=", 0) == 0) continue;
+    out += std::regex_replace(line, kActuals, "{rows=$1 cost=$2}") + "\n";
+  }
+  return out;
+}
+
+TEST_F(SqlExecTest, GoldenExplain) {
+  // Together the statements reach all 18 physical algorithms, serial and
+  // exchange-parallel, under both cost policies. Each case pins the exact
+  // EXPLAIN text and the plan's summary accessors, then runs the same
+  // statement profiled (inline exchanges, so the tree is deterministic) and
+  // checks that EXPLAIN ANALYZE describes the same tree line for line.
+  const GoldenPlan cases[] = {
+      {"SELECT site, day, visitor FROM events WHERE day < 4 ORDER BY "
+       "site, day",
+       1, plan::CostPolicy::kCostBased, false, 0,
+       "elided-sort [sorted(3)+ovc] {rows=660 cost=7660}\n"
+       "  filter [sorted(3)+ovc] {rows=660 cost=7660}\n"
+       "    scan(events) [sorted(3)+ovc] {rows=2000 cost=2000}\n",
+       "scan filter elided-sort",
+       0, 0, 1, 0, 660, 7660},
+      {"SELECT o.orderkey, COUNT(*) AS n, SUM(l.qty) AS total FROM "
+       "orders o INNER JOIN lineitem l ON o.orderkey = l.orderkey "
+       "GROUP BY o.orderkey ORDER BY o.orderkey",
+       1, plan::CostPolicy::kCostBased, false, 0,
+       "elided-sort [sorted(1)+ovc] {rows=99 cost=73349}\n"
+       "  in-stream-aggregate(group=1) [sorted(1)+ovc] {rows=99 cost=73349}\n"
+       "    merge-join(inner) [sorted(1)+ovc] {rows=10000 cost=58250}\n"
+       "      scan(orders) [sorted(1)+ovc] {rows=500 cost=500}\n"
+       "      sort(inserted) [sorted(1)+ovc] {rows=2000 cost=44000}\n"
+       "        scan(lineitem) [unsorted] {rows=2000 cost=2000}\n",
+       "scan merge-join in-stream-aggregate sort elided-sort",
+       1, 0, 1, 0, 99.342951695758543, 73349.342998289678},
+      {"SELECT o.orderkey, COUNT(*) AS n, SUM(l.qty) AS total FROM "
+       "orders o INNER JOIN lineitem l ON o.orderkey = l.orderkey "
+       "GROUP BY o.orderkey ORDER BY o.orderkey",
+       4, plan::CostPolicy::kRuleBased, false, 0,
+       "elided-sort [sorted(1)+ovc] {rows=99 cost=251247}\n"
+       "  merge-exchange(4 workers) [sorted(1)+ovc] {rows=99 cost=251247}\n"
+       "    in-stream-aggregate(group=1, per worker) [sorted(1)+ovc] {rows=99 cost=250849}\n"
+       "      split-exchange(hash) [sorted(1)+ovc] {rows=10000 cost=235750}\n"
+       "        merge-exchange(4 workers) [sorted(1)+ovc] {rows=10000 cost=125750}\n"
+       "          merge-join(inner, per worker) [sorted(1)+ovc] {rows=10000 cost=85750}\n"
+       "            split-exchange(hash) [sorted(1)+ovc] {rows=500 cost=6000}\n"
+       "              scan(orders) [sorted(1)+ovc] {rows=500 cost=500}\n"
+       "            split-exchange(hash) [sorted(1)+ovc] {rows=2000 cost=66000}\n"
+       "              sort(inserted) [sorted(1)+ovc] {rows=2000 cost=44000}\n"
+       "                scan(lineitem) [unsorted] {rows=2000 cost=2000}\n",
+       "scan merge-join in-stream-aggregate sort elided-sort "
+       "split-exchange merge-exchange",
+       1, 0, 1, 4, 99.342951695758543, 251246.71508463621},
+      {"SELECT l.orderkey, l.qty FROM lineitem l INNER JOIN orders o "
+       "ON l.orderkey = o.orderkey",
+       1, plan::CostPolicy::kRuleBased, false, 64,
+       "project [unsorted] {rows=10000 cost=166500}\n"
+       "  hash-join(grace)(inner) [unsorted] {rows=10000 cost=156500}\n"
+       "    scan(lineitem) [unsorted] {rows=2000 cost=2000}\n"
+       "    scan(orders) [sorted(1)+ovc] {rows=500 cost=500}\n",
+       "scan project hash-join(grace)",
+       0, 0, 0, 0, 10000.000018637566, 166500.00005591271},
+      {"SELECT l.orderkey, l.qty FROM lineitem l INNER JOIN orders o "
+       "ON l.orderkey = o.orderkey",
+       1, plan::CostPolicy::kCostBased, false, 64,
+       "project [sorted(1)+ovc] {rows=10000 cost=68250}\n"
+       "  merge-join(inner) [sorted(1)+ovc] {rows=10000 cost=58250}\n"
+       "    sort(inserted) [sorted(1)+ovc] {rows=2000 cost=44000}\n"
+       "      scan(lineitem) [unsorted] {rows=2000 cost=2000}\n"
+       "    scan(orders) [sorted(1)+ovc] {rows=500 cost=500}\n",
+       "scan project merge-join sort",
+       1, 0, 0, 0, 10000.000018637566, 68250.000037275138},
+      {"SELECT o.orderkey, l.qty FROM orders o INNER JOIN lineitem l "
+       "ON o.orderkey = l.orderkey",
+       1, plan::CostPolicy::kCostBased, true, 0,
+       "project [sorted(1)+ovc] {rows=10000 cost=59500}\n"
+       "  hash-join(order-preserving)(inner) [sorted(1)+ovc] {rows=10000 cost=49500}\n"
+       "    scan(orders) [sorted(1)+ovc] {rows=500 cost=500}\n"
+       "    scan(lineitem) [unsorted] {rows=2000 cost=2000}\n",
+       "scan project hash-join(order-preserving)",
+       0, 0, 0, 0, 10000.000018637566, 59500.000055912707},
+      {"SELECT o.orderkey, l.qty FROM orders o INNER JOIN lineitem l "
+       "ON o.orderkey = l.orderkey",
+       4, plan::CostPolicy::kCostBased, false, 0,
+       "project [sorted(1)+ovc] {rows=10000 cost=135750}\n"
+       "  merge-exchange(4 workers) [sorted(1)+ovc] {rows=10000 cost=125750}\n"
+       "    merge-join(inner, per worker) [sorted(1)+ovc] {rows=10000 cost=85750}\n"
+       "      split-exchange(hash) [sorted(1)+ovc] {rows=500 cost=6000}\n"
+       "        scan(orders) [sorted(1)+ovc] {rows=500 cost=500}\n"
+       "      split-exchange(hash) [sorted(1)+ovc] {rows=2000 cost=66000}\n"
+       "        sort(inserted) [sorted(1)+ovc] {rows=2000 cost=44000}\n"
+       "          scan(lineitem) [unsorted] {rows=2000 cost=2000}\n",
+       "scan project merge-join sort split-exchange merge-exchange",
+       1, 0, 0, 4, 10000.000018637566, 135750.00011182539},
+      {"SELECT site, COUNT(*) AS n FROM hits GROUP BY site",
+       1, plan::CostPolicy::kRuleBased, false, 0,
+       "hash-aggregate(group=1) [unsorted] {rows=8 cost=33008}\n"
+       "  scan(hits) [unsorted] {rows=3000 cost=3000}\n",
+       "scan hash-aggregate",
+       0, 0, 0, 0, 8, 33008},
+      {"SELECT site, COUNT(*) AS n FROM hits GROUP BY site ORDER BY "
+       "site",
+       4, plan::CostPolicy::kRuleBased, false, 0,
+       "elided-sort [sorted(1)+ovc] {rows=8 cost=100540}\n"
+       "  merge-exchange(4 workers) [sorted(1)+ovc] {rows=8 cost=100540}\n"
+       "    in-sort-aggregate(group=1, per worker) [sorted(1)+ovc] {rows=8 cost=100508}\n"
+       "      split-exchange(hash) [unsorted] {rows=3000 cost=36000}\n"
+       "        scan(hits) [unsorted] {rows=3000 cost=3000}\n",
+       "scan in-sort-aggregate elided-sort split-exchange "
+       "merge-exchange",
+       0, 0, 1, 4, 8, 100540},
+      {"SELECT DISTINCT site, day FROM hits",
+       1, plan::CostPolicy::kCostBased, false, 0,
+       "hash-distinct [unsorted] {rows=64 cost=36064}\n"
+       "  project [unsorted] {rows=3000 cost=6000}\n"
+       "    scan(hits) [unsorted] {rows=3000 cost=3000}\n",
+       "scan project hash-distinct",
+       0, 0, 0, 0, 64, 36064},
+      {"SELECT DISTINCT site, day FROM hits",
+       1, plan::CostPolicy::kCostBased, false, 16,
+       "in-sort-distinct [sorted(2)+ovc] {rows=64 cost=70884}\n"
+       "  project [unsorted] {rows=3000 cost=6000}\n"
+       "    scan(hits) [unsorted] {rows=3000 cost=3000}\n",
+       "scan project in-sort-distinct",
+       0, 0, 0, 0, 64, 70884},
+      {"SELECT DISTINCT site, day FROM events",
+       4, plan::CostPolicy::kCostBased, false, 0,
+       "dedup [sorted(2)+ovc] {rows=64 cost=7000}\n"
+       "  project [sorted(2)+ovc] {rows=2000 cost=4000}\n"
+       "    scan(events) [sorted(3)+ovc] {rows=2000 cost=2000}\n",
+       "scan project dedup",
+       0, 0, 0, 0, 63.999999999998657, 7000},
+      {"SELECT site, COUNT(DISTINCT visitor) AS v FROM events GROUP BY "
+       "site ORDER BY site LIMIT 5",
+       4, plan::CostPolicy::kCostBased, false, 0,
+       "limit(k=5) [sorted(1)+ovc] {rows=5 cost=76799}\n"
+       "  elided-sort [sorted(1)+ovc] {rows=159 cost=76794}\n"
+       "    merge-exchange(4 workers) [sorted(1)+ovc] {rows=159 cost=76794}\n"
+       "      in-stream-aggregate(group=1, per worker) [sorted(1)+ovc] {rows=159 cost=76159}\n"
+       "        split-exchange(hash) [sorted(2)+ovc] {rows=2000 cost=73000}\n"
+       "          in-sort-distinct [sorted(2)+ovc] {rows=2000 cost=51000}\n"
+       "            project [unsorted] {rows=2000 cost=4000}\n"
+       "              scan(events) [sorted(3)+ovc] {rows=2000 cost=2000}\n",
+       "scan project in-stream-aggregate in-sort-distinct elided-sort "
+       "limit split-exchange merge-exchange",
+       0, 0, 1, 4, 5, 76798.700525984095},
+      {"SELECT a, b FROM s1 INTERSECT SELECT a, b FROM s2 LIMIT 3",
+       1, plan::CostPolicy::kCostBased, false, 0,
+       "limit(k=3) [sorted(2)+ovc] {rows=3 cost=78791}\n"
+       "  set-operation(distinct) [sorted(2)+ovc] {rows=788 cost=78788}\n"
+       "    sort(inserted) [sorted(2)+ovc] {rows=1500 cost=36750}\n"
+       "      scan(s1) [unsorted] {rows=1500 cost=1500}\n"
+       "    sort(inserted) [sorted(2)+ovc] {rows=1500 cost=36750}\n"
+       "      scan(s2) [unsorted] {rows=1500 cost=1500}\n",
+       "scan set-operation sort limit",
+       2, 0, 0, 0, 3, 78790.508484065955},
+      {"SELECT a, b FROM s1 EXCEPT ALL SELECT a, b FROM s2",
+       4, plan::CostPolicy::kRuleBased, false, 0,
+       "set-operation(all) [sorted(2)+ovc] {rows=1 cost=78001}\n"
+       "  sort(inserted) [sorted(2)+ovc] {rows=1500 cost=36750}\n"
+       "    scan(s1) [unsorted] {rows=1500 cost=1500}\n"
+       "  sort(inserted) [sorted(2)+ovc] {rows=1500 cost=36750}\n"
+       "    scan(s2) [unsorted] {rows=1500 cost=1500}\n",
+       "scan set-operation sort",
+       2, 0, 0, 0, 1, 78001},
+      {"SELECT visitor, site FROM hits ORDER BY visitor LIMIT 10",
+       1, plan::CostPolicy::kRuleBased, false, 0,
+       "limit(k=10) [sorted(1)+ovc] {rows=10 cost=73510}\n"
+       "  sort [sorted(1)+ovc] {rows=3000 cost=73500}\n"
+       "    project [unsorted] {rows=3000 cost=6000}\n"
+       "      scan(hits) [unsorted] {rows=3000 cost=3000}\n",
+       "scan project sort limit",
+       0, 1, 0, 0, 10, 73510},
+      {"SELECT visitor, site FROM hits ORDER BY visitor LIMIT 10",
+       4, plan::CostPolicy::kCostBased, false, 0,
+       "limit(k=10) [sorted(1)+ovc] {rows=10 cost=88510}\n"
+       "  merge-exchange(4 workers) [sorted(1)+ovc] {rows=3000 cost=88500}\n"
+       "    sort(per worker) [sorted(1)+ovc] {rows=3000 cost=76500}\n"
+       "      split-exchange(round-robin) [unsorted] {rows=3000 cost=9000}\n"
+       "        project [unsorted] {rows=3000 cost=6000}\n"
+       "          scan(hits) [unsorted] {rows=3000 cost=3000}\n",
+       "scan project sort limit split-exchange merge-exchange",
+       0, 1, 0, 4, 10, 88510},
+      {"SELECT * FROM lineitem LIMIT 7",
+       1, plan::CostPolicy::kRuleBased, false, 0,
+       "limit(k=7) [unsorted] {rows=7 cost=2007}\n"
+       "  scan(lineitem) [unsorted] {rows=2000 cost=2000}\n",
+       "scan limit",
+       0, 0, 0, 0, 7, 2007},
+      {"SELECT DISTINCT a, c FROM wide",
+       1, plan::CostPolicy::kCostBased, false, 0,
+       "hash-distinct [unsorted] {rows=2000 cost=26000}\n"
+       "  project [unsorted] {rows=2000 cost=4000}\n"
+       "    scan(wide) [unsorted] {rows=2000 cost=2000}\n",
+       "scan project hash-distinct",
+       0, 0, 0, 0, 2000, 26000},
+
+  };
+
+  std::set<std::string> reached;
+  for (const GoldenPlan& c : cases) {
+    SCOPED_TRACE(std::string(c.sql) + " @ parallelism " +
+                 std::to_string(c.parallelism) +
+                 (c.policy == plan::CostPolicy::kRuleBased ? ", rule-based"
+                                                           : ""));
+    plan::PlanExecutor::Options options = MakeOptions(c.parallelism);
+    options.planner.cost_policy = c.policy;
+    options.planner.assume_build_fits_memory = c.assume_build_fits_memory;
+    if (c.hash_memory_rows != 0) {
+      options.planner.hash_memory_rows = c.hash_memory_rows;
+    }
+
+    SqlSession session(&catalog_, options);
+    SqlResult<std::unique_ptr<PreparedQuery>> prepared = session.Prepare(c.sql);
+    ASSERT_TRUE(prepared.ok()) << prepared.error().Render(c.sql);
+    const plan::PhysicalPlan& physical = *prepared.value()->physical;
+    EXPECT_EQ(physical.ToString(), c.explain);
+    EXPECT_EQ(physical.profile(), nullptr);
+
+    std::set<std::string> uses;
+    std::istringstream names(c.uses);
+    for (std::string name; names >> name;) uses.insert(name);
+    for (int a = 0; a <= static_cast<int>(plan::PhysicalAlg::kMergeExchange);
+         ++a) {
+      const auto alg = static_cast<plan::PhysicalAlg>(a);
+      const std::string name = plan::PhysicalAlgName(alg);
+      EXPECT_EQ(physical.Uses(alg), uses.count(name) > 0) << name;
+      if (physical.Uses(alg)) reached.insert(name);
+    }
+    EXPECT_EQ(physical.inserted_sorts(), c.inserted_sorts);
+    EXPECT_EQ(physical.explicit_sorts(), c.explicit_sorts);
+    EXPECT_EQ(physical.elided_sorts(), c.elided_sorts);
+    EXPECT_EQ(physical.parallel_workers(), c.parallel_workers);
+    EXPECT_DOUBLE_EQ(physical.root_estimate().rows, c.root_rows);
+    EXPECT_DOUBLE_EQ(physical.root_estimate().cost, c.root_cost);
+
+    options.planner.profile = true;
+    options.planner.exchange.threaded = false;
+    SqlSession profiled(&catalog_, options);
+    SqlResult<std::unique_ptr<PreparedQuery>> analyzed =
+        profiled.Prepare(c.sql);
+    ASSERT_TRUE(analyzed.ok());
+    QueryResult run = profiled.Run(analyzed.value().get());
+    EXPECT_TRUE(run.result.ok()) << run.result.validation_error;
+    const plan::PhysicalPlan& traced = *analyzed.value()->physical;
+    ASSERT_NE(traced.profile(), nullptr);
+    EXPECT_EQ(traced.ToString(), c.explain);
+    EXPECT_EQ(StripActuals(traced.ExplainAnalyze()), c.explain)
+        << traced.ExplainAnalyze();
+  }
+  EXPECT_EQ(reached.size(),
+            static_cast<size_t>(plan::PhysicalAlg::kMergeExchange) + 1);
 }
 
 // --- Binder errors ---------------------------------------------------------
