@@ -103,24 +103,20 @@ uint64_t TicksToNs(uint64_t ticks) {
   return static_cast<uint64_t>(static_cast<double>(ticks) / TicksPerNs());
 }
 
-int QueryProfile::AddNode() {
-  nodes_.emplace_back();
-  return static_cast<int>(nodes_.size()) - 1;
-}
-
-void QueryProfile::SetLine(int node, std::string label, double est_rows,
-                           double est_cost, std::vector<int> children,
-                           std::string table) {
-  OVC_CHECK(node >= 0 && node < static_cast<int>(nodes_.size()));
-  Node& n = nodes_[node];
+int QueryProfile::AddNode(std::string label, double est_rows,
+                          double est_cost, std::vector<int> children,
+                          std::string table) {
+  for (int c : children) {
+    OVC_CHECK(c >= 0 && c < static_cast<int>(nodes_.size()));
+  }
+  Node n;
   n.label = std::move(label);
+  n.table = std::move(table);
   n.est_rows = est_rows;
   n.est_cost = est_cost;
-  n.children.clear();
-  for (int c : children) {
-    if (c >= 0) n.children.push_back(c);
-  }
-  n.table = std::move(table);
+  n.children = std::move(children);
+  nodes_.push_back(std::move(n));
+  return static_cast<int>(nodes_.size()) - 1;
 }
 
 OperatorStats* QueryProfile::AddSlice(int node) {

@@ -163,11 +163,9 @@ class QueryProfile {
     bool has_actuals = false;
   };
 
-  /// Adds a node; returns its index. Label/estimate/children are filled in
-  /// by SetLine once the planner knows them.
-  int AddNode();
-  void SetLine(int node, std::string label, double est_rows, double est_cost,
-               std::vector<int> children, std::string table = std::string());
+  /// Adds a node over the already added `children`; returns its index.
+  int AddNode(std::string label, double est_rows, double est_cost,
+              std::vector<int> children, std::string table = std::string());
   /// Allocates one per-thread stats slice under `node`.
   OperatorStats* AddSlice(int node);
   void SetRoot(int node) { root_ = node; }

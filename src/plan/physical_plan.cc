@@ -58,8 +58,8 @@ const char* PhysicalAlgName(PhysicalAlg alg) {
 }
 
 bool PhysicalPlan::Uses(PhysicalAlg alg) const {
-  return std::find(algorithms_.begin(), algorithms_.end(), alg) !=
-         algorithms_.end();
+  return std::any_of(lines_.begin(), lines_.end(),
+                     [alg](const Line& line) { return line.alg == alg; });
 }
 
 PhysicalPlan::~PhysicalPlan() {
@@ -450,20 +450,6 @@ OrderProperty NodeOutputProperty(const LogicalNode& node,
   return OrderProperty::Unsorted();
 }
 
-std::string IndentBlock(const std::string& block) {
-  std::string out;
-  out.reserve(block.size() + 32);
-  size_t start = 0;
-  while (start < block.size()) {
-    size_t end = block.find('\n', start);
-    if (end == std::string::npos) end = block.size() - 1;
-    out += "  ";
-    out.append(block, start, end - start + 1);
-    start = end + 1;
-  }
-  return out;
-}
-
 const char* SplitPolicyName(SplitExchange::Policy policy) {
   switch (policy) {
     case SplitExchange::Policy::kHashKey:
@@ -476,22 +462,43 @@ const char* SplitPolicyName(SplitExchange::Policy policy) {
   return "unknown";
 }
 
-/// The explain-line prefix shared by EXPLAIN and the profile's node
-/// labels: "alg(detail) [order]".
-std::string ProfileLabel(PhysicalAlg alg, const OrderProperty& prop,
-                         const std::string& detail) {
-  std::string line = PhysicalAlgName(alg);
-  if (!detail.empty()) line += "(" + detail + ")";
-  line += " [" + prop.ToString() + "]";
-  return line;
-}
-
-std::string ExplainLine(PhysicalAlg alg, const OrderProperty& prop,
-                        const std::string& detail, const NodeEstimate& est) {
-  return ProfileLabel(alg, prop, detail) + " " + RenderEstimate(est) + "\n";
+/// Appends `line` and its subtree to `out`, two spaces per depth.
+void RenderLine(const std::vector<PhysicalPlan::Line>& lines, int line,
+                int depth, std::string* out) {
+  out->append(static_cast<size_t>(depth) * 2, ' ');
+  *out += lines[line].label + " " + RenderEstimate(lines[line].est) + "\n";
+  for (int child : lines[line].children) {
+    RenderLine(lines, child, depth + 1, out);
+  }
 }
 
 }  // namespace
+
+std::string PhysicalPlan::ToString() const {
+  std::string out;
+  if (!lines_.empty()) {
+    RenderLine(lines_, static_cast<int>(lines_.size()) - 1, 0, &out);
+  }
+  return out;
+}
+
+int PhysicalPlan::AddLine(PhysicalAlg alg, const std::string& detail,
+                          const OrderProperty& prop, const NodeEstimate& est,
+                          std::vector<int> children,
+                          const std::string& table) {
+  std::string label = PhysicalAlgName(alg);
+  if (!detail.empty()) label += "(" + detail + ")";
+  label += " [" + prop.ToString() + "]";
+  const int line = static_cast<int>(lines_.size());
+  if (profile_) {
+    // Profile nodes and plan lines share their indices.
+    const int node =
+        profile_->AddNode(label, est.rows, est.cost, children, table);
+    OVC_CHECK(node == line);
+  }
+  lines_.push_back(Line{alg, std::move(label), est, std::move(children)});
+  return line;
+}
 
 OrderProperty InferOrderProperty(const LogicalNode& node,
                                  const PlannerOptions& options) {
@@ -535,11 +542,10 @@ PhysicalPlan Planner::Plan(LogicalNode* root) {
   AnnotateInferred(root, options_);
   PhysicalPlan plan;
   if (options_.profile) plan.profile_ = std::make_unique<QueryProfile>();
-  Built built = BuildNode(root, &plan, 0, counters_);
+  Built built = BuildNode(root, &plan, counters_);
   plan.root_ = built.op;
   plan.root_order_ = built.prop;
-  plan.root_estimate_ = built.est;
-  if (plan.profile_) plan.profile_->SetRoot(built.pnode);
+  if (plan.profile_) plan.profile_->SetRoot(built.line);
   // The operator contract (exec/operator.h) must agree with what the
   // decision rules predicted; a mismatch is a planner bug.
   OVC_DCHECK(built.op->sorted() == built.prop.sorted());
@@ -547,15 +553,15 @@ PhysicalPlan Planner::Plan(LogicalNode* root) {
   return plan;
 }
 
-Planner::Meter Planner::NewMeter(PhysicalPlan* plan, QueryCounters* fallback) {
+Planner::Meter Planner::NewMeter(PhysicalPlan* plan, int line,
+                                 QueryCounters* fallback) {
   Meter m;
   QueryProfile* profile = plan->profile();
   if (profile == nullptr) {
     m.ctrs = fallback;
     return m;
   }
-  m.node = profile->AddNode();
-  m.slice = profile->AddSlice(m.node);
+  m.slice = profile->AddSlice(line);
   m.ctrs = &m.slice->counters;
   return m;
 }
@@ -565,235 +571,154 @@ Operator* Planner::Wrap(PhysicalPlan* plan, Operator* op, const Meter& m) {
   return plan->Own(std::make_unique<ProfiledOperator>(op, m.slice));
 }
 
-void Planner::SetProfileLine(PhysicalPlan* plan, const Meter& m,
-                             PhysicalAlg alg, const std::string& detail,
-                             const OrderProperty& prop,
-                             const NodeEstimate& est,
-                             const std::vector<int>& children,
-                             const std::string& table) {
-  if (m.node < 0) return;
-  plan->profile()->SetLine(m.node, ProfileLabel(alg, prop, detail), est.rows,
-                           est.cost, children, table);
-}
-
 Planner::Built Planner::InsertSort(Built child,
                                    const LogicalNode* logical_child,
-                                   PhysicalPlan* plan, int depth,
-                                   QueryCounters* ctrs) {
-  (void)depth;
+                                   PhysicalPlan* plan, QueryCounters* ctrs) {
   // Planner-inserted sorts always feed code-consuming operators (merge
   // join, dedup, set operation), so the configured sort must deliver
   // codes; catch a code-free ablation config here, at plan time, instead
   // of deep inside a downstream operator's precondition check.
   OVC_CHECK(options_.sort_config.use_ovc ||
             options_.sort_config.naive_output_codes);
-  const Meter m = NewMeter(plan, ctrs);
-  auto sort = std::make_unique<SortOperator>(child.op, m.ctrs, temp_,
-                                             options_.sort_config);
   const Schema& schema = child.op->schema();
   const CardEstimate cc = CardOf(*logical_child, options_.cost_constants);
   Built built;
   built.prop = SortOutput(schema, options_.sort_config);
   built.est.rows = child.est.rows;
   built.est.cost = child.est.cost + SortCostFor(cost_model_, cc, schema);
-  built.op = Wrap(plan, plan->Own(std::move(sort)), m);
-  built.explain = ExplainLine(PhysicalAlg::kSort, built.prop, "inserted",
-                              built.est) +
-                  IndentBlock(child.explain);
-  SetProfileLine(plan, m, PhysicalAlg::kSort, "inserted", built.prop,
-                 built.est, {child.pnode});
-  built.pnode = m.node;
+  built.line = plan->AddLine(PhysicalAlg::kSort, "inserted", built.prop,
+                             built.est, {child.line});
+  const Meter m = NewMeter(plan, built.line, ctrs);
+  built.op = Wrap(plan,
+                  plan->Own(std::make_unique<SortOperator>(
+                      child.op, m.ctrs, temp_, options_.sort_config)),
+                  m);
   ++plan->inserted_sorts_;
-  plan->RecordAlg(PhysicalAlg::kSort, built.est);
   return built;
 }
 
-Operator* Planner::BuildExchangeRegion(
-    const std::vector<Operator*>& children,
-    const std::vector<QueryCounters*>& child_counters,
-    const std::vector<NodeEstimate>& child_ests,
-    const NodeEstimate& region_est, SplitExchange::Policy policy,
-    uint32_t hash_prefix, QueryCounters* merge_counters, PhysicalPlan* plan,
+Planner::Built Planner::BuildExchangeRegion(
+    const std::vector<Built>& inputs,
+    const std::vector<QueryCounters*>& input_counters,
+    SplitExchange::Policy policy, uint32_t hash_prefix,
+    const OrderProperty& part_prop, PhysicalAlg worker_alg,
+    const std::string& detail, const OrderProperty& out_prop,
+    double alg_cost, double out_rows, QueryCounters* merge_counters,
+    PhysicalPlan* plan,
     const std::function<std::unique_ptr<Operator>(
         const std::vector<Operator*>& parts, QueryCounters* wc)>&
-        make_worker,
-    const RegionProfile& rp, Meter* merge_meter) {
-  OVC_CHECK(children.size() == child_counters.size());
-  OVC_CHECK(children.size() == child_ests.size());
-  QueryProfile* profile = plan->profile();
+        make_worker) {
+  OVC_CHECK(inputs.size() == input_counters.size());
   const uint32_t workers = options_.parallelism;
-  // A split pumps the shared child from whichever worker thread pulls
+  // A split line's estimate is its input subtree's plus the routing; a
+  // worker's sums its splits and adds its own algorithm; the merge line
+  // (the region's root) adds the merging exchange.
+  NodeEstimate worker_est = {out_rows, 0.0};
+  // A split pumps the shared input from whichever worker thread pulls
   // first, all under its pump mutex -- so it shares the region counters
-  // its child subtree was built with (one instance per split, rolled up
+  // its input subtree was built with (one instance per split, rolled up
   // after the run, never the consumer-side counters). Under profiling the
-  // routing work is charged to the split's own profile node instead.
+  // routing work is charged to the split line's slice 0 instead; the
+  // per-partition pull slices added below meter rows and pull time, one
+  // per consuming thread.
   std::vector<SplitExchange*> splits;
-  std::vector<int> split_nodes;
-  for (size_t c = 0; c < children.size(); ++c) {
-    plan->RecordAlg(PhysicalAlg::kSplitExchange, child_ests[c]);
-    QueryCounters* split_ctrs = child_counters[c];
-    int snode = -1;
-    if (profile != nullptr) {
-      snode = profile->AddNode();
-      // Slice 0 meters the routing work (hash computations, under the pump
-      // mutex); the per-partition pull slices added below meter rows and
-      // pull time, one per consuming thread.
-      split_ctrs = &profile->AddSlice(snode)->counters;
-      profile->SetLine(snode,
-                       ProfileLabel(PhysicalAlg::kSplitExchange, rp.part_prop,
-                                    SplitPolicyName(policy)),
-                       child_ests[c].rows, child_ests[c].cost,
-                       {rp.child_pnodes[c]});
-    }
-    split_nodes.push_back(snode);
+  std::vector<int> split_lines;
+  for (size_t c = 0; c < inputs.size(); ++c) {
+    NodeEstimate split_est = inputs[c].est;
+    split_est.cost += cost_model_.SplitExchange(
+        inputs[c].est.rows, policy != SplitExchange::Policy::kRoundRobin);
+    worker_est.cost += split_est.cost;
+    split_lines.push_back(plan->AddLine(PhysicalAlg::kSplitExchange,
+                                        SplitPolicyName(policy), part_prop,
+                                        split_est, {inputs[c].line}));
+    const Meter routing =
+        NewMeter(plan, split_lines.back(), input_counters[c]);
     splits.push_back(plan->OwnSplit(std::make_unique<SplitExchange>(
-        children[c], workers, policy, split_ctrs,
+        inputs[c].op, workers, policy, routing.ctrs,
         std::vector<uint64_t>{}, hash_prefix)));
   }
-  int wnode = -1;
-  if (profile != nullptr) {
-    wnode = profile->AddNode();
-    profile->SetLine(
-        wnode, ProfileLabel(rp.worker_alg, rp.worker_prop, rp.worker_detail),
-        rp.worker_est.rows, rp.worker_est.cost, split_nodes);
-  }
+  worker_est.cost += alg_cost;
+  const int worker_line = plan->AddLine(
+      worker_alg, detail.empty() ? "per worker" : detail + ", per worker",
+      out_prop, worker_est, split_lines);
   std::vector<Operator*> worker_ops;
   for (uint32_t w = 0; w < workers; ++w) {
     std::vector<Operator*> parts;
     parts.reserve(splits.size());
     for (size_t c = 0; c < splits.size(); ++c) {
-      Operator* part = splits[c]->partition(w);
-      if (profile != nullptr) {
-        // One slice per partition stream: each stream is pulled by exactly
-        // one worker, and their row counts sum to the split's output.
-        part = plan->Own(std::make_unique<ProfiledOperator>(
-            part, profile->AddSlice(split_nodes[c])));
-      }
-      parts.push_back(part);
+      // One slice per partition stream: each stream is pulled by exactly
+      // one worker, and their row counts sum to the split's output.
+      parts.push_back(Wrap(plan, splits[c]->partition(w),
+                           NewMeter(plan, split_lines[c], nullptr)));
     }
-    QueryCounters* wc = nullptr;
-    OperatorStats* wslice = nullptr;
-    if (profile != nullptr) {
-      // The worker's stats slice doubles as its counters instance,
-      // preserving the one-instance-per-producer-thread contract.
-      wslice = profile->AddSlice(wnode);
-      wc = &wslice->counters;
-    } else {
-      wc = plan->NewWorkerCounters();
-    }
-    Operator* worker = plan->Own(make_worker(parts, wc));
-    if (wslice != nullptr) {
-      worker = plan->Own(std::make_unique<ProfiledOperator>(worker, wslice));
-    }
-    worker_ops.push_back(worker);
+    // The worker's stats slice doubles as its counters instance,
+    // preserving the one-instance-per-producer-thread contract.
+    Meter wm = NewMeter(plan, worker_line, nullptr);
+    if (wm.ctrs == nullptr) wm.ctrs = plan->NewWorkerCounters();
+    worker_ops.push_back(
+        Wrap(plan, plan->Own(make_worker(parts, wm.ctrs)), wm));
   }
-  plan->RecordAlg(PhysicalAlg::kMergeExchange, region_est);
   if (workers > plan->parallel_workers_) plan->parallel_workers_ = workers;
-  Meter mm;
-  mm.ctrs = merge_counters;
-  if (profile != nullptr) {
-    mm.node = profile->AddNode();
-    mm.slice = profile->AddSlice(mm.node);
-    mm.ctrs = &mm.slice->counters;
-    profile->SetLine(mm.node,
-                     ProfileLabel(PhysicalAlg::kMergeExchange, rp.worker_prop,
-                                  std::to_string(workers) + " workers"),
-                     region_est.rows, region_est.cost, {wnode});
-  }
-  // The caller wraps the returned exchange with this meter (after any
-  // normalizing projection), so consumer-side pull time and output rows
-  // land on the merge node.
-  *merge_meter = mm;
-  return plan->Own(std::make_unique<MergeExchange>(worker_ops, mm.ctrs,
-                                                   options_.exchange));
+  Built region;
+  region.prop = out_prop;
+  region.est = {out_rows, worker_est.cost + cost_model_.MergeExchange(
+                                                out_rows, workers)};
+  region.line = plan->AddLine(PhysicalAlg::kMergeExchange,
+                              std::to_string(workers) + " workers", out_prop,
+                              region.est, {worker_line});
+  // The merge line's slice meters consumer-side pull time and output rows.
+  const Meter mm = NewMeter(plan, region.line, merge_counters);
+  region.op = Wrap(plan,
+                   plan->Own(std::make_unique<MergeExchange>(
+                       worker_ops, mm.ctrs, options_.exchange)),
+                   mm);
+  return region;
 }
-
-namespace {
-
-/// Explain block for an exchange-parallel region: merge-exchange over
-/// `workers` copies of the worker operator (`worker_line`), fed by one
-/// splitting exchange per input subtree. `part_prop` is the per-partition
-/// property the split preserves (the filter theorem keeps a sorted coded
-/// child sorted and coded within every partition).
-std::string ExplainParallelRegion(uint32_t workers,
-                                  const OrderProperty& out_prop,
-                                  const NodeEstimate& region_est,
-                                  const std::string& worker_line,
-                                  SplitExchange::Policy policy,
-                                  const OrderProperty& part_prop,
-                                  const std::vector<std::string>& inputs,
-                                  const std::vector<NodeEstimate>& in_ests) {
-  std::string split_block;
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    split_block += ExplainLine(PhysicalAlg::kSplitExchange, part_prop,
-                               SplitPolicyName(policy), in_ests[i]) +
-                   IndentBlock(inputs[i]);
-  }
-  return ExplainLine(PhysicalAlg::kMergeExchange, out_prop,
-                     std::to_string(workers) + " workers", region_est) +
-         IndentBlock(worker_line + IndentBlock(split_block));
-}
-
-}  // namespace
 
 Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
-                                  int depth, QueryCounters* ctrs) {
+                                  QueryCounters* ctrs) {
   Built result;
-  std::string explain;
   const CostModel& model = cost_model_;
   const double out_rows = node->card.rows;
 
   switch (node->op) {
     case LogicalOp::kScan: {
-      const Meter m = NewMeter(plan, ctrs);
-      result.op = Wrap(plan, plan->Own(node->source.factory()), m);
       result.prop = node->source.order;
       result.est = {out_rows, model.Scan(out_rows)};
-      plan->RecordAlg(PhysicalAlg::kScan, result.est);
-      explain = ExplainLine(PhysicalAlg::kScan, result.prop,
-                            node->source.name, result.est);
-      SetProfileLine(plan, m, PhysicalAlg::kScan, node->source.name,
-                     result.prop, result.est, {}, node->source.name);
-      result.pnode = m.node;
+      result.line =
+          plan->AddLine(PhysicalAlg::kScan, node->source.name, result.prop,
+                        result.est, {}, node->source.name);
+      const Meter m = NewMeter(plan, result.line, ctrs);
+      result.op = Wrap(plan, plan->Own(node->source.factory()), m);
       break;
     }
 
     case LogicalOp::kFilter: {
-      Built child = BuildNode(node->children[0].get(), plan, depth + 1, ctrs);
-      const Meter m = NewMeter(plan, ctrs);
+      Built child = BuildNode(node->children[0].get(), plan, ctrs);
+      result.prop = FilterOutput(child.prop);
+      result.est = {out_rows, child.est.cost +
+                                  model.Filter(child.est.rows, out_rows)};
+      result.line = plan->AddLine(PhysicalAlg::kFilter, "", result.prop,
+                                  result.est, {child.line});
+      const Meter m = NewMeter(plan, result.line, ctrs);
       result.op = Wrap(plan,
                        plan->Own(std::make_unique<FilterOperator>(
                            child.op, node->predicate, node->block_predicate)),
                        m);
-      result.prop = FilterOutput(child.prop);
-      result.est = {out_rows, child.est.cost +
-                                  model.Filter(child.est.rows, out_rows)};
-      plan->RecordAlg(PhysicalAlg::kFilter, result.est);
-      explain = ExplainLine(PhysicalAlg::kFilter, result.prop, "",
-                            result.est) +
-                IndentBlock(child.explain);
-      SetProfileLine(plan, m, PhysicalAlg::kFilter, "", result.prop,
-                     result.est, {child.pnode});
-      result.pnode = m.node;
       break;
     }
 
     case LogicalOp::kProject: {
-      Built child = BuildNode(node->children[0].get(), plan, depth + 1, ctrs);
-      const Meter m = NewMeter(plan, ctrs);
+      Built child = BuildNode(node->children[0].get(), plan, ctrs);
+      result.prop = ProjectOutput(*node, child.prop);
+      result.est = {out_rows, child.est.cost + model.Project(out_rows)};
+      result.line = plan->AddLine(PhysicalAlg::kProject, "", result.prop,
+                                  result.est, {child.line});
+      const Meter m = NewMeter(plan, result.line, ctrs);
       result.op = Wrap(plan,
                        plan->Own(std::make_unique<ProjectOperator>(
                            child.op, node->schema, node->mapping)),
                        m);
-      result.prop = ProjectOutput(*node, child.prop);
-      result.est = {out_rows, child.est.cost + model.Project(out_rows)};
-      plan->RecordAlg(PhysicalAlg::kProject, result.est);
-      explain = ExplainLine(PhysicalAlg::kProject, result.prop, "",
-                            result.est) +
-                IndentBlock(child.explain);
-      SetProfileLine(plan, m, PhysicalAlg::kProject, "", result.prop,
-                     result.est, {child.pnode});
-      result.pnode = m.node;
       break;
     }
 
@@ -813,18 +738,16 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
           pre_parallel_join ? plan->NewWorkerCounters() : ctrs;
       QueryCounters* right_ctrs =
           pre_parallel_join ? plan->NewWorkerCounters() : ctrs;
-      Built left = BuildNode(node->children[0].get(), plan, depth + 1,
-                             left_ctrs);
-      Built right = BuildNode(node->children[1].get(), plan, depth + 1,
-                              right_ctrs);
+      Built left = BuildNode(node->children[0].get(), plan, left_ctrs);
+      Built right = BuildNode(node->children[1].get(), plan, right_ctrs);
       JoinDecision d = DecideJoin(*node, left.prop, right.prop, options_);
       if (d.sort_left) {
         left = InsertSort(std::move(left), node->children[0].get(), plan,
-                          depth + 1, left_ctrs);
+                          left_ctrs);
       }
       if (d.sort_right) {
         right = InsertSort(std::move(right), node->children[1].get(), plan,
-                           depth + 1, right_ctrs);
+                           right_ctrs);
       }
       double alg_cost = 0;
       switch (d.alg) {
@@ -844,98 +767,58 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
         default:
           OVC_CHECK(false);
       }
+      const std::string join_type = JoinTypeName(node->join_type);
+      const uint32_t key = node->children[0]->schema.key_arity();
+      if (pre_parallel_join && d.alg == PhysicalAlg::kMergeJoin) {
+        // Co-partitioned parallel merge join: hash-split both (sorted,
+        // coded) inputs on the join key with the same hash, so each key
+        // lands in the same partition index on both sides; one merge join
+        // per partition pair; merge-exchange restores the single sorted
+        // coded output stream.
+        const JoinType type = node->join_type;
+        result = BuildExchangeRegion(
+            {left, right}, {left_ctrs, right_ctrs},
+            SplitExchange::Policy::kHashKey, key,
+            OrderProperty::Sorted(key, /*ovc=*/true), d.alg, join_type,
+            d.out, alg_cost, out_rows, ctrs, plan,
+            [type](const std::vector<Operator*>& parts, QueryCounters* wc) {
+              return std::make_unique<MergeJoin>(parts[0], parts[1], type,
+                                                 wc);
+            });
+        break;
+      }
       // The normalize projection below (hash joins of combining types) is
-      // part of this node's physical form: fold its cost in before the
-      // estimate is recorded anywhere.
+      // part of this node's physical form: its cost is in the line's
+      // estimate, and the line's meter wraps it, so the line's rows/time
+      // cover the node's full physical form.
       const double normalize_cost =
           d.normalize ? model.Project(out_rows) : 0.0;
+      result.prop = d.out;
       result.est = {out_rows, left.est.cost + right.est.cost + alg_cost +
                                   normalize_cost};
+      result.line = plan->AddLine(d.alg, join_type, result.prop, result.est,
+                                  {left.line, right.line});
+      const Meter m = NewMeter(plan, result.line, ctrs);
       Operator* join = nullptr;
-      const bool parallel_join =
-          pre_parallel_join && d.alg == PhysicalAlg::kMergeJoin;
-      NodeEstimate left_split = left.est;
-      NodeEstimate right_split = right.est;
-      // Cumulative estimate of one worker's merge join (the plan node
-      // inserted between the splits and the merging exchange).
-      NodeEstimate join_worker_est = result.est;
-      if (parallel_join) {
-        left_split.cost +=
-            model.SplitExchange(left.est.rows, /*hash_policy=*/true);
-        right_split.cost +=
-            model.SplitExchange(right.est.rows, /*hash_policy=*/true);
-        join_worker_est.cost =
-            left_split.cost + right_split.cost + alg_cost;
-        result.est.cost = join_worker_est.cost +
-                          model.MergeExchange(out_rows,
-                                              options_.parallelism);
-      }
-      // The meter of this node's plan line: the merge-exchange meter for
-      // the parallel shape (set by BuildExchangeRegion), a fresh serial
-      // meter otherwise. The final Wrap sits outside any normalizing
-      // projection, so the line's rows/time cover the node's full
-      // physical form.
-      Meter jm;
       switch (d.alg) {
         case PhysicalAlg::kMergeJoin:
-          if (parallel_join) {
-            // Co-partitioned parallel merge join: hash-split both (sorted,
-            // coded) inputs on the join key with the same hash, so each
-            // key lands in the same partition index on both sides; one
-            // merge join per partition pair; merge-exchange restores the
-            // single sorted coded output stream.
-            const JoinType type = node->join_type;
-            RegionProfile rp;
-            rp.child_pnodes = {left.pnode, right.pnode};
-            rp.worker_alg = d.alg;
-            rp.worker_detail =
-                std::string(JoinTypeName(node->join_type)) + ", per worker";
-            rp.worker_prop = d.out;
-            rp.worker_est = join_worker_est;
-            rp.part_prop = OrderProperty::Sorted(
-                node->children[0]->schema.key_arity(), /*ovc=*/true);
-            join = BuildExchangeRegion(
-                {left.op, right.op}, {left_ctrs, right_ctrs},
-                {left_split, right_split}, result.est,
-                SplitExchange::Policy::kHashKey,
-                node->children[0]->schema.key_arity(), ctrs, plan,
-                [type](const std::vector<Operator*>& parts,
-                       QueryCounters* wc) {
-                  return std::make_unique<MergeJoin>(parts[0], parts[1],
-                                                     type, wc);
-                },
-                rp, &jm);
-          } else {
-            plan->RecordAlg(d.alg, result.est);
-            jm = NewMeter(plan, ctrs);
-            join = plan->Own(std::make_unique<MergeJoin>(
-                left.op, right.op, node->join_type, jm.ctrs));
-          }
+          join = plan->Own(std::make_unique<MergeJoin>(
+              left.op, right.op, node->join_type, m.ctrs));
           break;
         case PhysicalAlg::kOrderPreservingHashJoin:
-          plan->RecordAlg(d.alg, result.est);
-          jm = NewMeter(plan, ctrs);
           join = plan->Own(std::make_unique<OrderPreservingHashJoin>(
-              left.op, right.op, node->children[0]->schema.key_arity(),
-              ToHashType(node->join_type), options_.hash_memory_rows,
-              jm.ctrs));
+              left.op, right.op, key, ToHashType(node->join_type),
+              options_.hash_memory_rows, m.ctrs));
           break;
         case PhysicalAlg::kGraceHashJoin:
-          plan->RecordAlg(d.alg, result.est);
-          jm = NewMeter(plan, ctrs);
           join = plan->Own(std::make_unique<GraceHashJoin>(
-              left.op, right.op, node->children[0]->schema.key_arity(),
-              ToHashType(node->join_type), options_.hash_memory_rows,
-              jm.ctrs, temp_, options_.hash_partitions, options_.fallback,
+              left.op, right.op, key, ToHashType(node->join_type),
+              options_.hash_memory_rows, m.ctrs, temp_,
+              options_.hash_partitions, options_.fallback,
               options_.sort_config));
           break;
         default:
           OVC_CHECK(false);
-      }
-      if (parallel_join) {
-        // BuildExchangeRegion recorded the region's algorithms; record
-        // the worker join itself so Uses() still sees it.
-        plan->RecordAlgBeforeLast(d.alg, join_worker_est);
       }
       if (d.normalize) {
         // Hash joins lay rows out as (probe keys, probe payloads, all
@@ -944,7 +827,6 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
         // physical alternative yields identical rows.
         const Schema& ls = node->children[0]->schema;
         const Schema& rs = node->children[1]->schema;
-        const uint32_t key = ls.key_arity();
         std::vector<uint32_t> mapping;
         for (uint32_t c = 0; c < key + ls.payload_columns(); ++c) {
           mapping.push_back(c);  // probe keys + probe payloads
@@ -957,29 +839,7 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
         join = plan->Own(
             std::make_unique<ProjectOperator>(join, node->schema, mapping));
       }
-      result.op = Wrap(plan, join, jm);
-      result.prop = d.out;
-      if (!parallel_join) {
-        SetProfileLine(plan, jm, d.alg, JoinTypeName(node->join_type),
-                       result.prop, result.est, {left.pnode, right.pnode});
-      }
-      result.pnode = jm.node;
-      if (parallel_join) {
-        explain = ExplainParallelRegion(
-            options_.parallelism, result.prop, result.est,
-            ExplainLine(d.alg, result.prop,
-                        std::string(JoinTypeName(node->join_type)) +
-                            ", per worker",
-                        join_worker_est),
-            SplitExchange::Policy::kHashKey,
-            OrderProperty::Sorted(node->children[0]->schema.key_arity(),
-                                  /*ovc=*/true),
-            {left.explain, right.explain}, {left_split, right_split});
-      } else {
-        explain = ExplainLine(d.alg, result.prop,
-                              JoinTypeName(node->join_type), result.est) +
-                  IndentBlock(left.explain) + IndentBlock(right.explain);
-      }
+      result.op = Wrap(plan, join, m);
       break;
     }
 
@@ -1003,11 +863,8 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
           parallel_agg_for(node->children[0]->inferred);
       QueryCounters* region_ctrs =
           pre_parallel_agg ? plan->NewWorkerCounters() : ctrs;
-      Built child = BuildNode(node->children[0].get(), plan, depth + 1,
-                              region_ctrs);
+      Built child = BuildNode(node->children[0].get(), plan, region_ctrs);
       UnaryDecision d = DecideAggregate(*node, child.prop, options_);
-      const bool parallel_agg =
-          pre_parallel_agg && parallel_agg_for(child.prop);
       double alg_cost = 0;
       switch (d.alg) {
         case PhysicalAlg::kInStreamAggregate:
@@ -1027,107 +884,67 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
         default:
           OVC_CHECK(false);
       }
-      result.est = {out_rows, child.est.cost + alg_cost};
-      NodeEstimate agg_split = child.est;
-      NodeEstimate agg_worker_est = result.est;
-      if (parallel_agg) {
-        agg_split.cost +=
-            model.SplitExchange(child.est.rows, /*hash_policy=*/true);
-        agg_worker_est.cost = agg_split.cost + alg_cost;
-        result.est.cost =
-            agg_worker_est.cost +
-            model.MergeExchange(out_rows, options_.parallelism);
-        const uint32_t group_prefix = node->group_prefix;
+      const uint32_t group_prefix = node->group_prefix;
+      const std::string group = "group=" + std::to_string(group_prefix);
+      if (pre_parallel_agg && parallel_agg_for(child.prop)) {
         const std::vector<AggregateSpec>& aggregates = node->aggregates;
         const bool in_stream = d.alg == PhysicalAlg::kInStreamAggregate;
         TempFileManager* temp = temp_;
         const SortConfig& sort_config = options_.sort_config;
-        RegionProfile rp;
-        rp.child_pnodes = {child.pnode};
-        rp.worker_alg = d.alg;
-        rp.worker_detail =
-            "group=" + std::to_string(node->group_prefix) + ", per worker";
-        rp.worker_prop = d.out;
-        rp.worker_est = agg_worker_est;
-        rp.part_prop = child.prop;
-        Meter am;
-        result.op = Wrap(
-            plan,
-            BuildExchangeRegion(
-                {child.op}, {region_ctrs}, {agg_split}, result.est,
-                SplitExchange::Policy::kHashKey, group_prefix, ctrs, plan,
-                [=](const std::vector<Operator*>& parts,
-                    QueryCounters* wc) -> std::unique_ptr<Operator> {
-                  if (in_stream) {
-                    return std::make_unique<InStreamAggregate>(
-                        parts[0], group_prefix, aggregates, wc);
-                  }
-                  return std::make_unique<InSortAggregate>(
-                      parts[0], group_prefix, aggregates, wc, temp,
-                      sort_config);
-                },
-                rp, &am),
-            am);
-        result.pnode = am.node;
-        plan->RecordAlgBeforeLast(d.alg, agg_worker_est);
-      } else {
-        plan->RecordAlg(d.alg, result.est);
-        const Meter m = NewMeter(plan, ctrs);
-        switch (d.alg) {
-          case PhysicalAlg::kInStreamAggregate: {
-            InStreamAggregate::Options agg_options;
-            agg_options.use_ovc_boundaries = child.prop.has_ovc;
-            result.op = plan->Own(std::make_unique<InStreamAggregate>(
-                child.op, node->group_prefix, node->aggregates, m.ctrs,
-                agg_options));
-            break;
-          }
-          case PhysicalAlg::kInSortAggregate:
-            result.op = plan->Own(std::make_unique<InSortAggregate>(
-                child.op, node->group_prefix, node->aggregates, m.ctrs,
-                temp_, options_.sort_config));
-            break;
-          case PhysicalAlg::kHashAggregate:
-            result.op = plan->Own(std::make_unique<HashAggregate>(
-                child.op, node->group_prefix, node->aggregates,
-                options_.hash_memory_rows, m.ctrs, temp_,
-                options_.hash_partitions, options_.fallback,
-                options_.sort_config));
-            break;
-          default:
-            OVC_CHECK(false);
-        }
-        result.op = Wrap(plan, result.op, m);
-        SetProfileLine(plan, m, d.alg,
-                       "group=" + std::to_string(node->group_prefix), d.out,
-                       result.est, {child.pnode});
-        result.pnode = m.node;
+        result = BuildExchangeRegion(
+            {child}, {region_ctrs}, SplitExchange::Policy::kHashKey,
+            group_prefix, child.prop, d.alg, group, d.out, alg_cost,
+            out_rows, ctrs, plan,
+            [=](const std::vector<Operator*>& parts,
+                QueryCounters* wc) -> std::unique_ptr<Operator> {
+              if (in_stream) {
+                return std::make_unique<InStreamAggregate>(
+                    parts[0], group_prefix, aggregates, wc);
+              }
+              return std::make_unique<InSortAggregate>(
+                  parts[0], group_prefix, aggregates, wc, temp, sort_config);
+            });
+        break;
       }
       result.prop = d.out;
-      if (parallel_agg) {
-        explain = ExplainParallelRegion(
-            options_.parallelism, result.prop, result.est,
-            ExplainLine(d.alg, result.prop,
-                        "group=" + std::to_string(node->group_prefix) +
-                            ", per worker",
-                        agg_worker_est),
-            SplitExchange::Policy::kHashKey, child.prop, {child.explain},
-            {agg_split});
-      } else {
-        explain = ExplainLine(d.alg, result.prop,
-                              "group=" + std::to_string(node->group_prefix),
-                              result.est) +
-                  IndentBlock(child.explain);
+      result.est = {out_rows, child.est.cost + alg_cost};
+      result.line = plan->AddLine(d.alg, group, result.prop, result.est,
+                                  {child.line});
+      const Meter m = NewMeter(plan, result.line, ctrs);
+      switch (d.alg) {
+        case PhysicalAlg::kInStreamAggregate: {
+          InStreamAggregate::Options agg_options;
+          agg_options.use_ovc_boundaries = child.prop.has_ovc;
+          result.op = plan->Own(std::make_unique<InStreamAggregate>(
+              child.op, group_prefix, node->aggregates, m.ctrs,
+              agg_options));
+          break;
+        }
+        case PhysicalAlg::kInSortAggregate:
+          result.op = plan->Own(std::make_unique<InSortAggregate>(
+              child.op, group_prefix, node->aggregates, m.ctrs, temp_,
+              options_.sort_config));
+          break;
+        case PhysicalAlg::kHashAggregate:
+          result.op = plan->Own(std::make_unique<HashAggregate>(
+              child.op, group_prefix, node->aggregates,
+              options_.hash_memory_rows, m.ctrs, temp_,
+              options_.hash_partitions, options_.fallback,
+              options_.sort_config));
+          break;
+        default:
+          OVC_CHECK(false);
       }
+      result.op = Wrap(plan, result.op, m);
       break;
     }
 
     case LogicalOp::kDistinct: {
-      Built child = BuildNode(node->children[0].get(), plan, depth + 1, ctrs);
+      Built child = BuildNode(node->children[0].get(), plan, ctrs);
       UnaryDecision d = DecideDistinct(*node, child.prop, options_);
       if (d.sort_child) {
         child = InsertSort(std::move(child), node->children[0].get(), plan,
-                           depth + 1, ctrs);
+                           ctrs);
       }
       double alg_cost = 0;
       switch (d.alg) {
@@ -1147,9 +964,11 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
         default:
           OVC_CHECK(false);
       }
+      result.prop = d.out;
       result.est = {out_rows, child.est.cost + alg_cost};
-      plan->RecordAlg(d.alg, result.est);
-      const Meter m = NewMeter(plan, ctrs);
+      result.line =
+          plan->AddLine(d.alg, "", result.prop, result.est, {child.line});
+      const Meter m = NewMeter(plan, result.line, ctrs);
       switch (d.alg) {
         case PhysicalAlg::kDedup:
           result.op = plan->Own(std::make_unique<DedupOperator>(child.op));
@@ -1171,46 +990,36 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
           OVC_CHECK(false);
       }
       result.op = Wrap(plan, result.op, m);
-      result.prop = d.out;
-      explain = ExplainLine(d.alg, result.prop, "", result.est) +
-                IndentBlock(child.explain);
-      SetProfileLine(plan, m, d.alg, "", result.prop, result.est,
-                     {child.pnode});
-      result.pnode = m.node;
       break;
     }
 
     case LogicalOp::kSetOp: {
-      Built left = BuildNode(node->children[0].get(), plan, depth + 1, ctrs);
-      Built right = BuildNode(node->children[1].get(), plan, depth + 1, ctrs);
+      Built left = BuildNode(node->children[0].get(), plan, ctrs);
+      Built right = BuildNode(node->children[1].get(), plan, ctrs);
       if (!SortedWithCodesOn(left.prop, node->children[0]->schema)) {
         left = InsertSort(std::move(left), node->children[0].get(), plan,
-                          depth + 1, ctrs);
+                          ctrs);
       }
       if (!SortedWithCodesOn(right.prop, node->children[1]->schema)) {
         right = InsertSort(std::move(right), node->children[1].get(), plan,
-                           depth + 1, ctrs);
+                           ctrs);
       }
+      result.prop =
+          OrderProperty::Sorted(node->schema.key_arity(), /*ovc=*/true);
       result.est = {out_rows,
                     left.est.cost + right.est.cost +
                         model.SetOperation(left.est.rows, right.est.rows,
                                            out_rows)};
-      const Meter m = NewMeter(plan, ctrs);
+      result.line = plan->AddLine(PhysicalAlg::kSetOperation,
+                                  node->set_all ? "all" : "distinct",
+                                  result.prop, result.est,
+                                  {left.line, right.line});
+      const Meter m = NewMeter(plan, result.line, ctrs);
       result.op = Wrap(plan,
                        plan->Own(std::make_unique<SetOperation>(
                            left.op, right.op, node->set_op, node->set_all,
                            m.ctrs)),
                        m);
-      result.prop =
-          OrderProperty::Sorted(node->schema.key_arity(), /*ovc=*/true);
-      plan->RecordAlg(PhysicalAlg::kSetOperation, result.est);
-      explain = ExplainLine(PhysicalAlg::kSetOperation, result.prop,
-                            node->set_all ? "all" : "distinct", result.est) +
-                IndentBlock(left.explain) + IndentBlock(right.explain);
-      SetProfileLine(plan, m, PhysicalAlg::kSetOperation,
-                     node->set_all ? "all" : "distinct", result.prop,
-                     result.est, {left.pnode, right.pnode});
-      result.pnode = m.node;
       break;
     }
 
@@ -1231,139 +1040,75 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
           parallel_sort_for(node->children[0]->inferred);
       QueryCounters* region_ctrs =
           pre_parallel_sort ? plan->NewWorkerCounters() : ctrs;
-      Built child = BuildNode(node->children[0].get(), plan, depth + 1,
-                              region_ctrs);
+      Built child = BuildNode(node->children[0].get(), plan, region_ctrs);
       UnaryDecision d = DecideSort(*node, child.prop, options_);
-      const bool parallel_sort =
-          pre_parallel_sort && parallel_sort_for(child.prop);
-      const double sort_cost =
-          d.alg == PhysicalAlg::kElidedSort
-              ? 0.0
-              : SortCostFor(model, node->card, node->schema);
-      result.est = {out_rows, child.est.cost + sort_cost};
-      NodeEstimate sort_split = child.est;
-      NodeEstimate sort_worker_est = result.est;
       if (d.alg == PhysicalAlg::kElidedSort) {
-        result.op = child.op;  // the logical sort vanishes entirely
+        // The logical sort vanishes: its plan line has no operator (and,
+        // profiled, no stats slice -- it reports its child's actuals).
         ++plan->elided_sorts_;
-        plan->RecordAlg(d.alg, result.est);
-        // An elided sort is a plan line without an operator: its profile
-        // node gets no stats slice, and reports its child's actuals.
-        if (QueryProfile* profile = plan->profile()) {
-          result.pnode = profile->AddNode();
-          profile->SetLine(result.pnode, ProfileLabel(d.alg, d.out, ""),
-                           result.est.rows, result.est.cost, {child.pnode});
-        }
-      } else if (parallel_sort) {
-        sort_split.cost +=
-            model.SplitExchange(child.est.rows, /*hash_policy=*/false);
-        sort_worker_est.cost = sort_split.cost + sort_cost;
-        result.est.cost =
-            sort_worker_est.cost +
-            model.MergeExchange(out_rows, options_.parallelism);
+        result = child;
+        result.est = {out_rows, child.est.cost};
+        result.line =
+            plan->AddLine(d.alg, "", d.out, result.est, {child.line});
+        break;
+      }
+      ++plan->explicit_sorts_;
+      const double sort_cost = SortCostFor(model, node->card, node->schema);
+      if (pre_parallel_sort && parallel_sort_for(child.prop)) {
         TempFileManager* temp = temp_;
         const SortConfig& sort_config = options_.sort_config;
-        RegionProfile rp;
-        rp.child_pnodes = {child.pnode};
-        rp.worker_alg = d.alg;
-        rp.worker_detail = "per worker";
-        rp.worker_prop = d.out;
-        rp.worker_est = sort_worker_est;
-        rp.part_prop = child.prop;
-        Meter sm;
-        result.op = Wrap(
-            plan,
-            BuildExchangeRegion(
-                {child.op}, {region_ctrs}, {sort_split}, result.est,
-                SplitExchange::Policy::kRoundRobin, 0, ctrs, plan,
-                [temp, &sort_config](const std::vector<Operator*>& parts,
-                                     QueryCounters* wc) {
-                  return std::make_unique<SortOperator>(parts[0], wc, temp,
-                                                        sort_config);
-                },
-                rp, &sm),
-            sm);
-        result.pnode = sm.node;
-        plan->RecordAlgBeforeLast(d.alg, sort_worker_est);
-        ++plan->explicit_sorts_;
-      } else {
-        plan->RecordAlg(d.alg, result.est);
-        const Meter m = NewMeter(plan, ctrs);
-        result.op = Wrap(plan,
-                         plan->Own(std::make_unique<SortOperator>(
-                             child.op, m.ctrs, temp_, options_.sort_config)),
-                         m);
-        SetProfileLine(plan, m, d.alg, "", d.out, result.est, {child.pnode});
-        result.pnode = m.node;
-        ++plan->explicit_sorts_;
+        result = BuildExchangeRegion(
+            {child}, {region_ctrs}, SplitExchange::Policy::kRoundRobin, 0,
+            child.prop, d.alg, "", d.out, sort_cost, out_rows, ctrs, plan,
+            [temp, &sort_config](const std::vector<Operator*>& parts,
+                                 QueryCounters* wc) {
+              return std::make_unique<SortOperator>(parts[0], wc, temp,
+                                                    sort_config);
+            });
+        break;
       }
       result.prop = d.out;
-      if (parallel_sort) {
-        explain = ExplainParallelRegion(
-            options_.parallelism, result.prop, result.est,
-            ExplainLine(d.alg, result.prop, "per worker", sort_worker_est),
-            SplitExchange::Policy::kRoundRobin, child.prop, {child.explain},
-            {sort_split});
-      } else {
-        explain = ExplainLine(d.alg, result.prop, "", result.est) +
-                  IndentBlock(child.explain);
-      }
+      result.est = {out_rows, child.est.cost + sort_cost};
+      result.line =
+          plan->AddLine(d.alg, "", result.prop, result.est, {child.line});
+      const Meter m = NewMeter(plan, result.line, ctrs);
+      result.op = Wrap(plan,
+                       plan->Own(std::make_unique<SortOperator>(
+                           child.op, m.ctrs, temp_, options_.sort_config)),
+                       m);
       break;
     }
 
-    case LogicalOp::kTopK: {
-      Built child = BuildNode(node->children[0].get(), plan, depth + 1, ctrs);
-      UnaryDecision d = DecideTopK(*node, child.prop, options_);
-      Operator* input = child.op;
-      if (d.sort_child) {
-        child = InsertSort(std::move(child), node->children[0].get(), plan,
-                           depth + 1, ctrs);
-        input = child.op;
-      }
-      const Meter m = NewMeter(plan, ctrs);
-      result.op = Wrap(
-          plan, plan->Own(std::make_unique<LimitOperator>(input, node->limit)),
-          m);
-      result.prop = d.out;
-      result.est = {out_rows, child.est.cost + model.Limit(out_rows)};
-      plan->RecordAlg(PhysicalAlg::kLimit, result.est);
-      explain = ExplainLine(PhysicalAlg::kLimit, result.prop,
-                            "k=" + std::to_string(node->limit), result.est) +
-                IndentBlock(child.explain);
-      SetProfileLine(plan, m, PhysicalAlg::kLimit,
-                     "k=" + std::to_string(node->limit), result.prop,
-                     result.est, {child.pnode});
-      result.pnode = m.node;
-      break;
-    }
-
+    case LogicalOp::kTopK:
     case LogicalOp::kLimit: {
-      // A bare limit (no order requested): truncate the child's stream in
+      // TopK sorts its child unless it already arrives sorted with codes;
+      // a bare limit (no order requested) truncates the child's stream in
       // whatever order it arrives, passing order and codes through.
-      Built child = BuildNode(node->children[0].get(), plan, depth + 1, ctrs);
-      const Meter m = NewMeter(plan, ctrs);
+      Built child = BuildNode(node->children[0].get(), plan, ctrs);
+      result.prop = child.prop;
+      if (node->op == LogicalOp::kTopK) {
+        UnaryDecision d = DecideTopK(*node, child.prop, options_);
+        if (d.sort_child) {
+          child = InsertSort(std::move(child), node->children[0].get(), plan,
+                             ctrs);
+        }
+        result.prop = d.out;
+      }
+      result.est = {out_rows, child.est.cost + model.Limit(out_rows)};
+      result.line = plan->AddLine(PhysicalAlg::kLimit,
+                                  "k=" + std::to_string(node->limit),
+                                  result.prop, result.est, {child.line});
+      const Meter m = NewMeter(plan, result.line, ctrs);
       result.op = Wrap(plan,
                        plan->Own(std::make_unique<LimitOperator>(
                            child.op, node->limit)),
                        m);
-      result.prop = child.prop;
-      result.est = {out_rows, child.est.cost + model.Limit(out_rows)};
-      plan->RecordAlg(PhysicalAlg::kLimit, result.est);
-      explain = ExplainLine(PhysicalAlg::kLimit, result.prop,
-                            "k=" + std::to_string(node->limit), result.est) +
-                IndentBlock(child.explain);
-      SetProfileLine(plan, m, PhysicalAlg::kLimit,
-                     "k=" + std::to_string(node->limit), result.prop,
-                     result.est, {child.pnode});
-      result.pnode = m.node;
       break;
     }
   }
 
   OVC_DCHECK(result.op->sorted() == result.prop.sorted());
   OVC_DCHECK(result.op->has_ovc() == result.prop.has_ovc);
-  result.explain = std::move(explain);
-  if (depth == 0) plan->explain_ = result.explain;
   return result;
 }
 

@@ -197,19 +197,29 @@ class PhysicalPlan {
   /// and codes.
   uint32_t elided_sorts() const { return elided_sorts_; }
 
+  /// One physical plan line. Every line is recorded exactly once, children
+  /// before their parent, so the root is the last line; EXPLAIN, Uses(),
+  /// the estimates and (when profiled) the QueryProfile node of the same
+  /// index all read this one record.
+  struct Line {
+    PhysicalAlg alg;
+    /// "alg(detail) [order]" -- the EXPLAIN prefix and the profile label.
+    std::string label;
+    /// Output rows and cumulative cost (the node plus its whole subtree).
+    NodeEstimate est;
+    /// Child line indices, in EXPLAIN order.
+    std::vector<int> children;
+  };
+  const std::vector<Line>& lines() const { return lines_; }
+
   /// True when the plan uses `alg` anywhere.
   bool Uses(PhysicalAlg alg) const;
-  /// All algorithm choices, one per physical node, in plan-tree order.
-  const std::vector<PhysicalAlg>& algorithms() const { return algorithms_; }
 
-  /// Cost-model estimate per physical node, parallel to algorithms():
-  /// output rows and cumulative cost (the node plus its whole subtree).
-  const std::vector<NodeEstimate>& node_estimates() const {
-    return estimates_;
-  }
   /// Estimate for the plan root: total estimated rows out and total
   /// estimated cost of the whole plan.
-  const NodeEstimate& root_estimate() const { return root_estimate_; }
+  NodeEstimate root_estimate() const {
+    return lines_.empty() ? NodeEstimate() : lines_.back().est;
+  }
 
   /// Worker pipelines of the widest exchange-parallel region (0 when the
   /// plan is serial).
@@ -227,8 +237,9 @@ class PhysicalPlan {
   /// runs. PlanExecutor calls this after every run of a parallel plan.
   void RollUpWorkerCounters(QueryCounters* into);
 
-  /// Multi-line indented rendering with per-node order properties.
-  std::string ToString() const { return explain_; }
+  /// EXPLAIN rendering: one line per plan line, indented two spaces per
+  /// depth, `label {rows=N cost=C}`.
+  std::string ToString() const;
 
   /// The per-node runtime profile, or null when the plan was built without
   /// PlannerOptions::profile. Filled in by PlanExecutor::Run (actuals are
@@ -239,7 +250,7 @@ class PhysicalPlan {
   /// actuals, per-node timings/counters, and worst-Q-error flags. Falls
   /// back to the plain EXPLAIN text for un-profiled plans.
   std::string ExplainAnalyze() const {
-    return profile_ ? profile_->Render() : explain_;
+    return profile_ ? profile_->Render() : ToString();
   }
 
  private:
@@ -250,21 +261,14 @@ class PhysicalPlan {
     return operators_.back().get();
   }
 
-  /// Records one physical node's algorithm choice and estimate (the two
-  /// vectors stay parallel; every chosen algorithm goes through here or
-  /// through RecordAlgBeforeLast).
-  void RecordAlg(PhysicalAlg alg, const NodeEstimate& est) {
-    algorithms_.push_back(alg);
-    estimates_.push_back(est);
-  }
-
-  /// Splices a node in front of the most recently recorded one -- used to
-  /// place an exchange region's worker operator before its merging
-  /// exchange in plan-tree order while keeping the vectors parallel.
-  void RecordAlgBeforeLast(PhysicalAlg alg, const NodeEstimate& est) {
-    algorithms_.insert(algorithms_.end() - 1, alg);
-    estimates_.insert(estimates_.end() - 1, est);
-  }
+  /// Appends one plan line over the already recorded `children` and
+  /// returns its index; when the plan is profiled, also the QueryProfile
+  /// node of the same index. `table` names a scan's table (the profile's
+  /// feedback target).
+  int AddLine(PhysicalAlg alg, const std::string& detail,
+              const OrderProperty& prop, const NodeEstimate& est,
+              std::vector<int> children,
+              const std::string& table = std::string());
 
   SplitExchange* OwnSplit(std::unique_ptr<SplitExchange> split) {
     splits_.push_back(std::move(split));
@@ -293,10 +297,7 @@ class PhysicalPlan {
   uint32_t explicit_sorts_ = 0;
   uint32_t elided_sorts_ = 0;
   uint32_t parallel_workers_ = 0;
-  std::vector<PhysicalAlg> algorithms_;
-  std::vector<NodeEstimate> estimates_;
-  NodeEstimate root_estimate_;
-  std::string explain_;
+  std::vector<Line> lines_;
 };
 
 /// The physical planner.
@@ -319,97 +320,69 @@ class Planner {
     OrderProperty prop;
     /// Output rows + cumulative cost estimate for this subtree.
     NodeEstimate est;
-    /// Relative-indentation explain block for this subtree.
-    std::string explain;
-    /// QueryProfile node index of this subtree's root (-1 when the plan is
-    /// not profiled).
-    int pnode = -1;
+    /// Plan line of this subtree's root.
+    int line = -1;
   };
 
-  /// Profile wiring for one physical plan node: the profile node index,
-  /// the stats slice metering the node's operator, and the counters the
-  /// node's operator constructors should charge -- the slice's own
-  /// counters when profiling, the caller's fallback instance otherwise.
+  /// Profile wiring for one operator of a plan line: the stats slice
+  /// metering it, and the counters its constructor should charge -- the
+  /// slice's own counters when profiling, the caller's fallback instance
+  /// otherwise.
   struct Meter {
-    int node = -1;
     OperatorStats* slice = nullptr;
     QueryCounters* ctrs = nullptr;
   };
-  /// Allocates one profile node with one stats slice when the plan is
+  /// Allocates one stats slice under plan line `line` when the plan is
   /// profiled; otherwise a pass-through meter charging `fallback`.
-  Meter NewMeter(PhysicalPlan* plan, QueryCounters* fallback);
+  Meter NewMeter(PhysicalPlan* plan, int line, QueryCounters* fallback);
   /// Wraps `op` in a ProfiledOperator writing `m`'s slice (identity when
   /// the plan is not profiled).
   Operator* Wrap(PhysicalPlan* plan, Operator* op, const Meter& m);
-  /// Fills in profile node `m.node`'s explain label, estimate, children,
-  /// and (for scans) feedback table. No-op when not profiled.
-  void SetProfileLine(PhysicalPlan* plan, const Meter& m, PhysicalAlg alg,
-                      const std::string& detail, const OrderProperty& prop,
-                      const NodeEstimate& est,
-                      const std::vector<int>& children,
-                      const std::string& table = std::string());
 
   /// `ctrs` is the counters instance for operators this subtree constructs
   /// -- the session counters at the root, a region-owned instance inside a
   /// parallel region (everything below a splitting exchange executes on
   /// whichever producer thread pumps the split, so it must never share the
   /// consumer thread's counters).
-  Built BuildNode(LogicalNode* node, PhysicalPlan* plan, int depth,
-                  QueryCounters* ctrs);
+  Built BuildNode(LogicalNode* node, PhysicalPlan* plan, QueryCounters* ctrs);
   /// Wraps `child` in a planner-inserted SortOperator metered by `ctrs`.
   /// `logical_child` provides the cardinality estimate for the sort's
   /// cost annotation.
   Built InsertSort(Built child, const LogicalNode* logical_child,
-                   PhysicalPlan* plan, int depth, QueryCounters* ctrs);
+                   PhysicalPlan* plan, QueryCounters* ctrs);
 
   /// True when exchange-parallel shapes are enabled and usable.
   bool ParallelEnabled() const {
     return options_.parallelism > 1 && options_.exchange.use_ovc;
   }
-  /// Splits each child into `parallelism` co-indexed partitions (one
-  /// SplitExchange per child, same policy/prefix, so hash partitions are
-  /// co-located across children), builds one worker operator per partition
-  /// index via `make_worker` (handed that index's partition streams and a
-  /// fresh per-worker QueryCounters), and merges the worker outputs back
-  /// into one stream. Returns the merging exchange.
+  /// Builds one exchange-parallel region: splits each input into
+  /// `parallelism` co-indexed partitions (one SplitExchange per input, same
+  /// policy/prefix, so hash partitions are co-located across inputs),
+  /// builds one worker operator per partition index via `make_worker`
+  /// (handed that index's partition streams and a fresh per-worker
+  /// QueryCounters), and merges the worker outputs back into one stream.
   ///
-  /// `child_counters[i]` is the region counters instance child i's subtree
+  /// `input_counters[i]` is the region counters instance input i's subtree
   /// was built with; the i-th split shares it (subtree pulls and split
   /// routing both happen under that split's pump mutex). `merge_counters`
   /// meters the merging exchange itself, on the consumer thread.
-  /// `child_ests[i]` is child i's subtree estimate *including* its
-  /// splitting exchange's own cost (recorded on that split's plan node);
-  /// `region_est` is the whole region's output estimate, recorded on the
-  /// merging exchange.
   ///
-  /// Under profiling the region contributes three tiers of profile nodes
-  /// (split lines, one worker line, the merge line) described by `rp`, and
-  /// hands the merge line's meter back through `merge_meter`: the caller
-  /// wraps the returned exchange (after any normalizing projection) with
-  /// it, so the merge's consumer-side pull time and output rows land on
-  /// the merge node.
-  struct RegionProfile {
-    /// Profile node of each child subtree (Built::pnode).
-    std::vector<int> child_pnodes;
-    /// Explain-line ingredients for the per-worker operator.
-    PhysicalAlg worker_alg = PhysicalAlg::kSort;
-    std::string worker_detail;
-    OrderProperty worker_prop;
-    NodeEstimate worker_est;
-    /// Per-partition property the splits preserve (the filter theorem).
-    OrderProperty part_prop;
-  };
-  Operator* BuildExchangeRegion(
-      const std::vector<Operator*>& children,
-      const std::vector<QueryCounters*>& child_counters,
-      const std::vector<NodeEstimate>& child_ests,
-      const NodeEstimate& region_est, SplitExchange::Policy policy,
-      uint32_t hash_prefix, QueryCounters* merge_counters,
+  /// The region records three tiers of plan lines: one split line per
+  /// input (per-partition property `part_prop`), one line for the worker
+  /// operator (`worker_alg`, "`detail`, per worker", output `out_prop`,
+  /// costing `alg_cost` over the splits), and the merge line, which the
+  /// returned subtree's root stands for.
+  Built BuildExchangeRegion(
+      const std::vector<Built>& inputs,
+      const std::vector<QueryCounters*>& input_counters,
+      SplitExchange::Policy policy, uint32_t hash_prefix,
+      const OrderProperty& part_prop, PhysicalAlg worker_alg,
+      const std::string& detail, const OrderProperty& out_prop,
+      double alg_cost, double out_rows, QueryCounters* merge_counters,
       PhysicalPlan* plan,
       const std::function<std::unique_ptr<Operator>(
           const std::vector<Operator*>& parts, QueryCounters* wc)>&
-          make_worker,
-      const RegionProfile& rp, Meter* merge_meter);
+          make_worker);
 
   QueryCounters* counters_;
   TempFileManager* temp_;

@@ -147,10 +147,9 @@ TEST_F(CostModelTest, PlanCarriesPerNodeEstimatesAndExplainRendersThem) {
                      .Build();
   PhysicalPlan plan = Plan(logical.get());
 
-  ASSERT_EQ(plan.node_estimates().size(), plan.algorithms().size());
-  for (const NodeEstimate& est : plan.node_estimates()) {
-    EXPECT_GT(est.rows, 0.0);
-    EXPECT_GT(est.cost, 0.0);
+  for (const PhysicalPlan::Line& line : plan.lines()) {
+    EXPECT_GT(line.est.rows, 0.0);
+    EXPECT_GT(line.est.cost, 0.0);
   }
   EXPECT_GT(plan.root_estimate().cost, 0.0);
   const std::string text = plan.ToString();
@@ -170,9 +169,8 @@ TEST_F(CostModelTest, ElidedSortAddsNoCost) {
   ASSERT_TRUE(plan.Uses(PhysicalAlg::kElidedSort));
   // The elided sort's cumulative estimate equals its child's: resorting
   // sorted coded input is free, which is why elision always wins.
-  ASSERT_EQ(plan.node_estimates().size(), 2u);
-  EXPECT_DOUBLE_EQ(plan.node_estimates()[0].cost,
-                   plan.node_estimates()[1].cost);
+  ASSERT_EQ(plan.lines().size(), 2u);
+  EXPECT_DOUBLE_EQ(plan.lines()[0].est.cost, plan.lines()[1].est.cost);
 }
 
 // ---------------------------------------------------------------------------
