@@ -298,20 +298,19 @@ void GraceHashJoin::BeginSortMergeFallback() {
   table_.clear();
 }
 
-void GraceHashJoin::FinishSortMergeFallback(BlockReader* probe) {
+void GraceHashJoin::FinishSortMergeFallback(
+    const std::function<bool(const uint64_t**)>& next_probe) {
   Status st = fb_build_sort_->Finish();
   if (!st.ok()) {
-    probe->Close();
     Degrade(st);
     return;
   }
   fb_probe_sort_ = std::make_unique<ExternalSort>(
       fb_probe_schema_.get(), counters_, temp_, sort_config_);
-  RowRef ref;
-  while (probe->Next(&ref)) {
-    fb_probe_sort_->Add(ref.cols);
+  const uint64_t* row = nullptr;
+  while (next_probe(&row)) {
+    fb_probe_sort_->Add(row);
   }
-  probe->Close();
   st = fb_probe_sort_->Finish();
   if (!st.ok()) {
     Degrade(st);
@@ -330,6 +329,35 @@ void GraceHashJoin::FinishSortMergeFallback(BlockReader* probe) {
   fb_rows_->Open();
 }
 
+void GraceHashJoin::SortMergePartition(const PartitionPair& pair,
+                                       RunFileReader* build,
+                                       const uint64_t* row) {
+  BeginSortMergeFallback();
+  Ovc code = 0;
+  do {
+    fb_build_sort_->Add(row);
+  } while (build->Next(&row, &code));
+  RunFileReader probe(&probe_->schema(), temp_);
+  const Status st = probe.Open(pair.probe_path);
+  if (!st.ok()) {
+    Degrade(st);
+    return;
+  }
+  FinishSortMergeFallback([&probe, &code](const uint64_t** next) {
+    return probe.Next(next, &code);
+  });
+}
+
+void GraceHashJoin::ResetContinuation() {
+  if (fb_rows_ != nullptr) fb_rows_->Close();
+  fb_rows_.reset();
+  fb_join_.reset();
+  fb_probe_view_.reset();
+  fb_build_view_.reset();
+  fb_probe_sort_.reset();
+  fb_build_sort_.reset();
+}
+
 void GraceHashJoin::Degrade(const Status& status) {
   failed_ = true;
   if (temp_ != nullptr) temp_->RecordError(status);
@@ -343,12 +371,7 @@ void GraceHashJoin::Open() {
   table_.clear();
   fell_back_ = false;
   failed_ = false;
-  fb_rows_.reset();
-  fb_join_.reset();
-  fb_probe_view_.reset();
-  fb_build_view_.reset();
-  fb_probe_sort_.reset();
-  fb_build_sort_.reset();
+  ResetContinuation();
 
   // Consume the build side; if it fits, keep it resident, otherwise
   // degrade per the fallback policy (sort+merge continuation, or classic
@@ -428,7 +451,12 @@ void GraceHashJoin::Open() {
   }
 
   if (fell_back_) {
-    FinishSortMergeFallback(&probe);
+    FinishSortMergeFallback([&probe, &ref](const uint64_t** row) {
+      if (!probe.Next(&ref)) return false;
+      *row = ref.cols;
+      return true;
+    });
+    probe.Close();
     return;
   }
 
@@ -474,7 +502,6 @@ void GraceHashJoin::Open() {
 void GraceHashJoin::Repartition(const PartitionPair& pair) {
   // Too many build rows collided into this partition: split it (and its
   // probe counterpart) with the next level's salted hash.
-  OVC_CHECK(pair.level <= 8);
   const Schema& bs = build_->schema();
   const Schema& ps = probe_->schema();
   OvcCodec bcodec(&bs), pcodec(&ps);
@@ -492,11 +519,15 @@ void GraceHashJoin::Repartition(const PartitionPair& pair) {
   }
   const uint64_t* row = nullptr;
   Ovc code = 0;
+  std::vector<uint64_t> build_rows(partitions_, 0);
+  uint64_t total_build_rows = 0;
   if (st.ok()) {
     RunFileReader build_reader(&bs, temp_);
     st = build_reader.Open(pair.build_path);
     while (st.ok() && build_reader.Next(&row, &code)) {
       const uint32_t p = PartitionOf(row, pair.level);
+      ++build_rows[p];
+      ++total_build_rows;
       st = bw[p]->Append(row, bcodec.MakeFromRow(row, 0));
     }
   }
@@ -511,6 +542,7 @@ void GraceHashJoin::Repartition(const PartitionPair& pair) {
   for (uint32_t p = 0; p < partitions_ && st.ok(); ++p) {
     st = bw[p]->Close();
     if (st.ok()) st = pw[p]->Close();
+    subs[p].unsplittable = build_rows[p] == total_build_rows;
     pending_.push_back(subs[p]);
   }
   if (!st.ok()) Degrade(st);
@@ -546,7 +578,13 @@ bool GraceHashJoin::ProcessNextPartition() {
       resident_build_.AppendRow(row);
     }
     if (overflow) {
-      Repartition(pair);
+      if (pair.level < kMaxPartitionLevel && !pair.unsplittable) {
+        Repartition(pair);
+        continue;
+      }
+      // No hash can split this pair: finish it by sort+merge.
+      SortMergePartition(pair, &build_reader, row);
+      if (fb_rows_ != nullptr) return true;
       continue;
     }
 
@@ -593,29 +631,27 @@ bool GraceHashJoin::AppendFallback(RowBlock* out) {
 
 uint32_t GraceHashJoin::NextBatch(RowBlock* out) {
   out->Clear();
-  if (failed_) return 0;
-  if (fell_back_) {
-    return FillBlock(out,
-                     [this](RowBlock* block) { return AppendFallback(block); });
-  }
-  while (queue_pos_ >= output_queue_.size()) {
+  while (!failed_) {
+    if (fb_rows_ != nullptr) {
+      const uint32_t n = FillBlock(
+          out, [this](RowBlock* block) { return AppendFallback(block); });
+      if (n > 0) return n;
+      ResetContinuation();
+    }
+    if (queue_pos_ < output_queue_.size()) {
+      // The queue stays put until the next pull: serve it zero-copy.
+      return ServeRows(output_queue_, &queue_pos_, out);
+    }
     if (in_memory_ || !ProcessNextPartition()) return 0;
   }
-  // The queue stays put until the next pull: serve it zero-copy.
-  return ServeRows(output_queue_, &queue_pos_, out);
+  return 0;
 }
 
 void GraceHashJoin::Close() {
   output_queue_.Clear();
   resident_build_.Clear();
   table_.clear();
-  if (fb_rows_ != nullptr) fb_rows_->Close();
-  fb_rows_.reset();
-  fb_join_.reset();
-  fb_probe_view_.reset();
-  fb_build_view_.reset();
-  fb_probe_sort_.reset();
-  fb_build_sort_.reset();
+  ResetContinuation();
   fb_probe_schema_.reset();
   fb_build_schema_.reset();
 }

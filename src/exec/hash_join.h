@@ -16,6 +16,7 @@
 #ifndef OVC_EXEC_HASH_JOIN_H_
 #define OVC_EXEC_HASH_JOIN_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -31,6 +32,8 @@
 #include "sort/external_sort.h"
 
 namespace ovc {
+
+class RunFileReader;
 
 /// Join flavors supported by the hash joins (probe side is "left").
 enum class JoinTypeHash { kInner, kLeftOuter, kLeftSemi, kLeftAnti };
@@ -101,6 +104,13 @@ class OrderPreservingHashJoin : public Operator {
 /// The overflow is counted in QueryCounters::hash_join_fallbacks and the
 /// output keeps this operator's layout, so callers cannot tell the plans
 /// apart except by the counters (and the row order).
+///
+/// With FallbackPolicy::kPartition a partition pair whose build rows still
+/// overflow is split again with the next level's salted hash. A pair no
+/// hash can split -- past kMaxPartitionLevel, or made by a split that left
+/// every build row in it (one key holding more than `memory_rows` rows) --
+/// finishes through the same sort+merge continuation, fed from its two
+/// partition files, and counts in hash_join_fallbacks too.
 class GraceHashJoin : public Operator {
  public:
   /// `type` limited to kInner and kLeftSemi (what Figure 6's plans need).
@@ -124,24 +134,39 @@ class GraceHashJoin : public Operator {
     std::string probe_path;
     std::string build_path;
     uint32_t level = 0;
+    /// True when the split that made this pair left every build row of
+    /// its parent in it: hashing again cannot make progress.
+    bool unsplittable = false;
   };
+  /// Deepest repartitioning level; an overflowing pair at this level
+  /// finishes by sort+merge.
+  static constexpr uint32_t kMaxPartitionLevel = 8;
 
   Schema MakeOutputSchema() const;
   /// Joins one resident (build RowBuffer) against a probe iterator.
   void JoinResident(const RowBuffer& build, const uint64_t* probe_row);
+  /// Loads the next pending pair and queues its output (or stands up its
+  /// sort+merge continuation); false when no pair produced anything.
   bool ProcessNextPartition();
   /// Level-salted hash partition (recursion splits colliding keys).
   uint32_t PartitionOf(const uint64_t* row, uint32_t level);
   /// Splits a partition pair into `partitions_` sub-pairs at level+1.
   void Repartition(const PartitionPair& pair);
 
-  /// kSortMerge overflow path: moves the resident build rows into an
-  /// ExternalSort keyed on the bind columns (the rest of the build stream
-  /// follows via Add in Open's consume loop).
+  /// Sort+merge continuation, step 1: counts the fallback and moves the
+  /// resident build rows into an ExternalSort keyed on the bind columns
+  /// (the rest of the build side follows via fb_build_sort_->Add).
   void BeginSortMergeFallback();
-  /// Sorts the (opened) probe stream and stands up the MergeJoin
-  /// continuation.
-  void FinishSortMergeFallback(BlockReader* probe);
+  /// Step 2: finishes the build sort, sorts the probe rows `next_probe`
+  /// yields (false at the end), and stands up the MergeJoin continuation.
+  void FinishSortMergeFallback(
+      const std::function<bool(const uint64_t**)>& next_probe);
+  /// Finishes partition pair `pair`, whose build file reader `build` has
+  /// overflowed at row `row`, through the continuation.
+  void SortMergePartition(const PartitionPair& pair, RunFileReader* build,
+                          const uint64_t* row);
+  /// Tears down a drained continuation.
+  void ResetContinuation();
   /// Appends one continuation row, remapped to this operator's layout, to
   /// `out`; false at end of stream.
   bool AppendFallback(RowBlock* out);
@@ -168,7 +193,8 @@ class GraceHashJoin : public Operator {
   size_t queue_pos_ = 0;
   bool in_memory_ = false;
 
-  // Sort+merge continuation (kSortMerge overflow only). The schemas
+  // Sort+merge continuation (kSortMerge overflow, or an unsplittable
+  // partition pair under kPartition; live while fb_rows_ is set). The schemas
   // reinterpret the unchanged row layouts with key_arity == bind_columns_
   // so both sides sort -- and MergeJoin binds -- on exactly the join key.
   bool fell_back_ = false;

@@ -250,6 +250,39 @@ TEST(GraceHashJoin, SpillsAndMatchesInMemoryResult) {
   EXPECT_EQ(out_spill, out_mem);
 }
 
+TEST(GraceHashJoin, UnsplittableKeyFinishesBySortMerge) {
+  // Every row carries the same join key, so no level of hash
+  // repartitioning brings the build side under its 64-row budget: the
+  // partition pair that holds it finishes by sort+merge instead.
+  Schema ps(1, 1), bs(1, 1);
+  RowBuffer pt = MakeTable(ps, 100, 1, /*seed=*/91);
+  RowBuffer bt = MakeTable(bs, 2000, 1, /*seed=*/92);
+  for (JoinTypeHash type : {JoinTypeHash::kInner, JoinTypeHash::kLeftSemi}) {
+    SCOPED_TRACE(type == JoinTypeHash::kInner ? "inner" : "left semi");
+    TempFileManager temp;
+    BufferScan pscan(&ps, &pt), bscan(&bs, &bt);
+    QueryCounters spill_counters;
+    GraceHashJoin spilling(&pscan, &bscan, /*bind_columns=*/1, type,
+                           /*memory_rows=*/64, &spill_counters, &temp,
+                           /*partitions=*/16, FallbackPolicy::kPartition);
+    RowVec out_spill = DrainValidated(&spilling, /*check_codes=*/false);
+    EXPECT_GT(spill_counters.rows_spilled, 0u);
+    EXPECT_EQ(spill_counters.hash_join_fallbacks, 1u);
+
+    BufferScan pscan2(&ps, &pt), bscan2(&bs, &bt);
+    QueryCounters mem_counters;
+    GraceHashJoin resident(&pscan2, &bscan2, /*bind_columns=*/1, type,
+                           /*memory_rows=*/1 << 20, &mem_counters, &temp);
+    RowVec out_mem = DrainValidated(&resident, /*check_codes=*/false);
+    EXPECT_EQ(mem_counters.hash_join_fallbacks, 0u);
+    EXPECT_EQ(out_mem.size(), type == JoinTypeHash::kInner ? 200000u : 100u);
+
+    Canonicalize(&out_spill);
+    Canonicalize(&out_mem);
+    EXPECT_EQ(out_spill, out_mem);
+  }
+}
+
 TEST(HashAggregate, MatchesInStreamAggregate) {
   Schema schema(3, 1);
   RowBuffer table = MakeTable(schema, 3000, 6, /*seed=*/81);
