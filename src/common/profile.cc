@@ -131,6 +131,7 @@ QueryCounters QueryProfile::FinishRun(QueryCounters* into, uint64_t wall_ns) {
     n.total.Reset();
     n.has_actuals = !n.slices.empty();
     for (std::unique_ptr<OperatorStats>& slice : n.slices) {
+      slice->ClampToLiveSpan();
       n.total.Merge(*slice);
       rolled.Merge(slice->counters);
       slice->Reset();

@@ -25,7 +25,10 @@
 //    Queries short enough to matter for correctness tests stay inside the
 //    warmup and are timed exactly; long queries get a sampled estimate and
 //    the hot batched path stays within the <=2% instrumentation budget
-//    (bench/bench_profile_overhead.cc prices exactly this).
+//    (bench/bench_profile_overhead.cc prices exactly this). FinishRun caps
+//    each slice's estimate at the span between its first Open and last
+//    Close, so one preempted sample cannot outgrow the time the operator
+//    was live.
 //  * Render() produces the EXPLAIN ANALYZE text -- each plan line carries
 //    {rows=est/actual cost=est time=..ms cmp=col/code spill=..} and the
 //    worst Q-error nodes are flagged. ToJson() produces the machine-readable
@@ -97,6 +100,10 @@ struct OperatorStats {
   /// same thread) inside Open / Close, always timed.
   uint64_t open_ticks = 0;
   uint64_t close_ticks = 0;
+  /// Tick counter when the first Open started and when the last Close
+  /// ended (0 until then): the span the operator was live on its thread.
+  uint64_t open_start_ticks = 0;
+  uint64_t close_end_ticks = 0;
   /// NextBatch calls: all of them, the warmup ones (each timed, exactly,
   /// into warmup_ticks), and the later ones timed as a sample into
   /// sample_ticks (every kTimeSampleEvery-th; see above).
@@ -114,6 +121,14 @@ struct OperatorStats {
     batches_out += other.batches_out;
     open_ticks += other.open_ticks;
     close_ticks += other.close_ticks;
+    if (open_start_ticks == 0 ||
+        (other.open_start_ticks != 0 &&
+         other.open_start_ticks < open_start_ticks)) {
+      open_start_ticks = other.open_start_ticks;
+    }
+    if (other.close_end_ticks > close_end_ticks) {
+      close_end_ticks = other.close_end_ticks;
+    }
     next_calls += other.next_calls;
     warmup_calls += other.warmup_calls;
     warmup_ticks += other.warmup_ticks;
@@ -136,6 +151,22 @@ struct OperatorStats {
 
   uint64_t total_ticks() const {
     return open_ticks + scaled_next_ticks() + close_ticks;
+  }
+
+  /// Caps total_ticks() at the live span: one sampled call the host
+  /// preempted stands for kTimeSampleEvery calls and can push the estimate
+  /// past the time the operator was open at all. The capped NextBatch time
+  /// becomes exact (the span minus the exactly timed Open and Close).
+  /// No-op for a slice that never closed or already fits.
+  void ClampToLiveSpan() {
+    if (close_end_ticks <= open_start_ticks) return;
+    const uint64_t span = close_end_ticks - open_start_ticks;
+    if (total_ticks() <= span) return;
+    const uint64_t exact = open_ticks + close_ticks;
+    warmup_calls = next_calls;
+    warmup_ticks = span > exact ? span - exact : 0;
+    sampled_calls = 0;
+    sample_ticks = 0;
   }
 };
 
@@ -172,7 +203,8 @@ class QueryProfile {
   int root() const { return root_; }
   const std::vector<Node>& nodes() const { return nodes_; }
 
-  /// Ends one run: aggregates every node's slices into its `total`, folds
+  /// Ends one run: caps every slice at its live span (ClampToLiveSpan),
+  /// aggregates every node's slices into its `total`, folds
   /// all slice counters into `into` (skipped when null) and resets the
   /// slices so repeated runs never double-count -- the profile analogue of
   /// PhysicalPlan::RollUpWorkerCounters. Returns the rolled-up counter

@@ -41,6 +41,7 @@ class ProfiledOperator final : public Operator {
 
   void Open() override {
     const uint64_t t0 = ProfileTicks();
+    if (stats_->open_start_ticks == 0) stats_->open_start_ticks = t0;
     child_->Open();
     stats_->open_ticks += ProfileTicks() - t0;
   }
@@ -74,7 +75,8 @@ class ProfiledOperator final : public Operator {
   void Close() override {
     const uint64_t t0 = ProfileTicks();
     child_->Close();
-    stats_->close_ticks += ProfileTicks() - t0;
+    stats_->close_end_ticks = ProfileTicks();
+    stats_->close_ticks += stats_->close_end_ticks - t0;
   }
 
   const Schema& schema() const override { return child_->schema(); }

@@ -247,6 +247,39 @@ TEST(OperatorStats, OnlyTheSampleAfterWarmupIsScaled) {
   EXPECT_EQ(total.scaled_next_ticks(), 2 * (5000u + 480u));
 }
 
+TEST(OperatorStats, SampledTimeIsClampedToTheLiveSpan) {
+  // One timed call after the warmup stands for kTimeSampleEvery calls, so
+  // a single call the host preempted overshoots the span the operator was
+  // open at all. FinishRun caps each slice at that span before merging.
+  QueryProfile profile;
+  const int node = profile.AddNode("sort [sorted(1)+ovc]", 1, 1, {});
+  profile.SetRoot(node);
+  OperatorStats* oversized = profile.AddSlice(node);
+  oversized->open_start_ticks = 1000;
+  oversized->open_ticks = 100;
+  oversized->next_calls = kTimeWarmupCalls + kTimeSampleEvery;
+  oversized->warmup_calls = kTimeWarmupCalls;
+  oversized->warmup_ticks = 2000;
+  oversized->sampled_calls = 1;
+  oversized->sample_ticks = 5000;  // stands for 16 x 5000 ticks
+  oversized->close_ticks = 50;
+  oversized->close_end_ticks = 1000 + 10000;
+  ASSERT_GT(oversized->total_ticks(), 10000u);
+  // A second slice (another thread) that fits its span keeps its estimate.
+  OperatorStats* fitting = profile.AddSlice(node);
+  fitting->open_start_ticks = 500;
+  fitting->next_calls = fitting->warmup_calls = 4;
+  fitting->warmup_ticks = 700;
+  fitting->close_end_ticks = 500 + 800;
+
+  (void)profile.FinishRun(nullptr, /*wall_ns=*/0);
+  const OperatorStats& total = profile.nodes()[node].total;
+  EXPECT_EQ(total.total_ticks(), 10000u + 700u);
+  EXPECT_EQ(total.open_ticks, 100u);
+  EXPECT_EQ(total.close_ticks, 50u);
+  EXPECT_EQ(total.next_calls, kTimeWarmupCalls + kTimeSampleEvery + 4);
+}
+
 TEST_F(ProfileTest, JsonProfileRoundTrips) {
   for (uint32_t parallelism : {1u, 4u}) {
     SCOPED_TRACE("parallelism " + std::to_string(parallelism));
