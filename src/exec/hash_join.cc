@@ -37,6 +37,14 @@ bool KeysEqual(const uint64_t* a, const uint64_t* b, uint32_t columns,
   return true;
 }
 
+/// Rows appended to all of `writers` -- one split's partitions.
+uint64_t TotalRows(
+    const std::vector<std::unique_ptr<RunFileWriter>>& writers) {
+  uint64_t rows = 0;
+  for (const std::unique_ptr<RunFileWriter>& w : writers) rows += w->rows();
+  return rows;
+}
+
 /// Operator facade over a finished ExternalSort: a sorted, coded stream
 /// the MergeJoin continuation can pull. The schema reinterprets the
 /// sorted rows with the join key as the full key prefix.
@@ -486,6 +494,7 @@ void GraceHashJoin::Open() {
     }
   }
   probe.Close();
+  const uint64_t build_rows = TotalRows(build_writers);
   for (uint32_t p = 0; p < partitions_; ++p) {
     Status st = build_writers[p]->Close();
     if (st.ok()) st = probe_writers[p]->Close();
@@ -493,7 +502,8 @@ void GraceHashJoin::Open() {
       Degrade(st);
       return;
     }
-    pending_.push_back(PartitionPair{probe_paths[p], build_paths[p], 1});
+    pending_.push_back(PartitionPair{probe_paths[p], build_paths[p], 1,
+                                     build_writers[p]->rows() == build_rows});
   }
   resident_build_.Clear();
   table_.clear();
@@ -519,15 +529,11 @@ void GraceHashJoin::Repartition(const PartitionPair& pair) {
   }
   const uint64_t* row = nullptr;
   Ovc code = 0;
-  std::vector<uint64_t> build_rows(partitions_, 0);
-  uint64_t total_build_rows = 0;
   if (st.ok()) {
     RunFileReader build_reader(&bs, temp_);
     st = build_reader.Open(pair.build_path);
     while (st.ok() && build_reader.Next(&row, &code)) {
       const uint32_t p = PartitionOf(row, pair.level);
-      ++build_rows[p];
-      ++total_build_rows;
       st = bw[p]->Append(row, bcodec.MakeFromRow(row, 0));
     }
   }
@@ -539,10 +545,11 @@ void GraceHashJoin::Repartition(const PartitionPair& pair) {
       st = pw[p]->Append(row, pcodec.MakeFromRow(row, 0));
     }
   }
+  const uint64_t build_rows = TotalRows(bw);
   for (uint32_t p = 0; p < partitions_ && st.ok(); ++p) {
     st = bw[p]->Close();
     if (st.ok()) st = pw[p]->Close();
-    subs[p].unsplittable = build_rows[p] == total_build_rows;
+    subs[p].unsplittable = bw[p]->rows() == build_rows;
     pending_.push_back(subs[p]);
   }
   if (!st.ok()) Degrade(st);

@@ -134,8 +134,8 @@ class GraceHashJoin : public Operator {
     std::string probe_path;
     std::string build_path;
     uint32_t level = 0;
-    /// True when the split that made this pair left every build row of
-    /// its parent in it: hashing again cannot make progress.
+    /// True when the split that made this pair put every build row of
+    /// the split in it: hashing again cannot make progress.
     bool unsplittable = false;
   };
   /// Deepest repartitioning level; an overflowing pair at this level
