@@ -102,6 +102,7 @@ struct OperatorStats {
   uint64_t close_ticks = 0;
   /// Tick counter when the first Open started and when the last Close
   /// ended (0 until then): the span the operator was live on its thread.
+  /// Per slice only; Merge leaves a node total's span 0.
   uint64_t open_start_ticks = 0;
   uint64_t close_end_ticks = 0;
   /// NextBatch calls: all of them, the warmup ones (each timed, exactly,
@@ -121,14 +122,6 @@ struct OperatorStats {
     batches_out += other.batches_out;
     open_ticks += other.open_ticks;
     close_ticks += other.close_ticks;
-    if (open_start_ticks == 0 ||
-        (other.open_start_ticks != 0 &&
-         other.open_start_ticks < open_start_ticks)) {
-      open_start_ticks = other.open_start_ticks;
-    }
-    if (other.close_end_ticks > close_end_ticks) {
-      close_end_ticks = other.close_end_ticks;
-    }
     next_calls += other.next_calls;
     warmup_calls += other.warmup_calls;
     warmup_ticks += other.warmup_ticks;
