@@ -306,20 +306,19 @@ void GraceHashJoin::BeginSortMergeFallback() {
   table_.clear();
 }
 
-void GraceHashJoin::FinishSortMergeFallback(
-    const std::function<bool(const uint64_t**)>& next_probe) {
+bool GraceHashJoin::BeginProbeSort() {
   Status st = fb_build_sort_->Finish();
   if (!st.ok()) {
     Degrade(st);
-    return;
+    return false;
   }
   fb_probe_sort_ = std::make_unique<ExternalSort>(
       fb_probe_schema_.get(), counters_, temp_, sort_config_);
-  const uint64_t* row = nullptr;
-  while (next_probe(&row)) {
-    fb_probe_sort_->Add(row);
-  }
-  st = fb_probe_sort_->Finish();
+  return true;
+}
+
+void GraceHashJoin::FinishSortMergeFallback() {
+  const Status st = fb_probe_sort_->Finish();
   if (!st.ok()) {
     Degrade(st);
     return;
@@ -351,9 +350,11 @@ void GraceHashJoin::SortMergePartition(const PartitionPair& pair,
     Degrade(st);
     return;
   }
-  FinishSortMergeFallback([&probe, &code](const uint64_t** next) {
-    return probe.Next(next, &code);
-  });
+  if (!BeginProbeSort()) return;
+  while (probe.Next(&row, &code)) {
+    fb_probe_sort_->Add(row);
+  }
+  FinishSortMergeFallback();
 }
 
 void GraceHashJoin::ResetContinuation() {
@@ -459,12 +460,13 @@ void GraceHashJoin::Open() {
   }
 
   if (fell_back_) {
-    FinishSortMergeFallback([&probe, &ref](const uint64_t** row) {
-      if (!probe.Next(&ref)) return false;
-      *row = ref.cols;
-      return true;
-    });
+    if (BeginProbeSort()) {
+      while (probe.Next(&ref)) {
+        fb_probe_sort_->Add(ref.cols);
+      }
+    }
     probe.Close();
+    if (!failed_) FinishSortMergeFallback();
     return;
   }
 
@@ -545,10 +547,12 @@ void GraceHashJoin::Repartition(const PartitionPair& pair) {
       st = pw[p]->Append(row, pcodec.MakeFromRow(row, 0));
     }
   }
-  const uint64_t build_rows = TotalRows(bw);
+  // Only when every writer opened: a failed Open leaves later ones null.
+  const uint64_t build_rows = st.ok() ? TotalRows(bw) : 0;
   for (uint32_t p = 0; p < partitions_ && st.ok(); ++p) {
     st = bw[p]->Close();
     if (st.ok()) st = pw[p]->Close();
+    if (!st.ok()) break;
     subs[p].unsplittable = bw[p]->rows() == build_rows;
     pending_.push_back(subs[p]);
   }
@@ -589,7 +593,8 @@ bool GraceHashJoin::ProcessNextPartition() {
         Repartition(pair);
         continue;
       }
-      // No hash can split this pair: finish it by sort+merge.
+      // Past the deepest level, or its split made no progress: finish it
+      // by sort+merge.
       SortMergePartition(pair, &build_reader, row);
       if (fb_rows_ != nullptr) return true;
       continue;

@@ -16,7 +16,6 @@
 #ifndef OVC_EXEC_HASH_JOIN_H_
 #define OVC_EXEC_HASH_JOIN_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -106,11 +105,13 @@ class OrderPreservingHashJoin : public Operator {
 /// apart except by the counters (and the row order).
 ///
 /// With FallbackPolicy::kPartition a partition pair whose build rows still
-/// overflow is split again with the next level's salted hash. A pair no
-/// hash can split -- past kMaxPartitionLevel, or made by a split that left
-/// every build row in it (one key holding more than `memory_rows` rows) --
-/// finishes through the same sort+merge continuation, fed from its two
-/// partition files, and counts in hash_join_fallbacks too.
+/// overflow is split again with the next level's salted hash. A pair past
+/// kMaxPartitionLevel, or made by a split that made no progress (it left
+/// every build row in that one pair), finishes through the same sort+merge
+/// continuation, fed from its two partition files, and counts in
+/// hash_join_fallbacks too. A split makes no progress when one key holds
+/// more than `memory_rows` rows, and rarely when a few keys collide under
+/// that level's salt; either way the join result is the same.
 class GraceHashJoin : public Operator {
  public:
   /// `type` limited to kInner and kLeftSemi (what Figure 6's plans need).
@@ -135,7 +136,9 @@ class GraceHashJoin : public Operator {
     std::string build_path;
     uint32_t level = 0;
     /// True when the split that made this pair put every build row of
-    /// the split in it: hashing again cannot make progress.
+    /// the split in it. Such a split made no progress (one key over the
+    /// budget, or rarely keys that collided under that salt), so the pair
+    /// is treated as unsplittable and finishes by sort+merge.
     bool unsplittable = false;
   };
   /// Deepest repartitioning level; an overflowing pair at this level
@@ -157,10 +160,12 @@ class GraceHashJoin : public Operator {
   /// resident build rows into an ExternalSort keyed on the bind columns
   /// (the rest of the build side follows via fb_build_sort_->Add).
   void BeginSortMergeFallback();
-  /// Step 2: finishes the build sort, sorts the probe rows `next_probe`
-  /// yields (false at the end), and stands up the MergeJoin continuation.
-  void FinishSortMergeFallback(
-      const std::function<bool(const uint64_t**)>& next_probe);
+  /// Step 2: finishes the build sort and creates fb_probe_sort_, which the
+  /// caller feeds with every probe row; false (degraded) on a sort error.
+  bool BeginProbeSort();
+  /// Step 3: finishes the probe sort and stands up the MergeJoin
+  /// continuation.
+  void FinishSortMergeFallback();
   /// Finishes partition pair `pair`, whose build file reader `build` has
   /// overflowed at row `row`, through the continuation.
   void SortMergePartition(const PartitionPair& pair, RunFileReader* build,

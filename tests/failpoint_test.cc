@@ -13,6 +13,8 @@
 #include "common/counters.h"
 #include "common/failpoint.h"
 #include "common/temp_file.h"
+#include "exec/hash_join.h"
+#include "exec/scan.h"
 #include "plan/plan_executor.h"
 #include "sql/catalog.h"
 #include "sql/session.h"
@@ -22,6 +24,8 @@ namespace ovc {
 namespace {
 
 using ::ovc::testing::Canonicalize;
+using ::ovc::testing::DrainValidated;
+using ::ovc::testing::MakeTable;
 using ::ovc::testing::RowVec;
 using ::ovc::testing::ToRowVec;
 
@@ -133,6 +137,32 @@ TEST_F(FailpointTest, ExhaustedOpenRetriesReportCleanSqlError) {
   ASSERT_FALSE(got.ok());
   EXPECT_NE(got.error().message.find("execution failed"), std::string::npos)
       << got.error().message;
+}
+
+TEST_F(FailpointTest, FailedOpenDuringRepartitionDegradesCleanly) {
+  SKIP_WITHOUT_FAILPOINTS();
+  // 2000 build rows over 16 level-0 partitions overflow a 64-row budget,
+  // so the first pair loaded is split again. The level-0 split's 32 temp
+  // files (16 build, 16 probe) open; every open after them fails, so the
+  // level-1 split stops at its first writer. The join must record the
+  // error and end its output -- not touch the writers it never opened.
+  constexpr uint32_t kPartitions = 16;
+  Schema ps(1, 1), bs(1, 1);
+  RowBuffer pt = MakeTable(ps, 500, 1000, /*seed=*/31);
+  RowBuffer bt = MakeTable(bs, 2000, 1000, /*seed=*/32);
+  BufferScan pscan(&ps, &pt), bscan(&bs, &bt);
+  QueryCounters counters;
+  TempFileManager temp;
+  GraceHashJoin join(&pscan, &bscan, /*bind_columns=*/1,
+                     JoinTypeHash::kInner, /*memory_rows=*/64, &counters,
+                     &temp, kPartitions, FallbackPolicy::kPartition);
+  failpoint::Arm("tempfile.open", /*skip_first=*/2 * kPartitions);
+  DrainValidated(&join, /*check_codes=*/false);
+  EXPECT_GT(failpoint::Hits("tempfile.open"), 2 * kPartitions);
+  const Status error = temp.first_error();
+  ASSERT_FALSE(error.ok());
+  EXPECT_NE(error.ToString().find("injected"), std::string::npos)
+      << error.ToString();
 }
 
 TEST_F(FailpointTest, ForcedJoinOverflowFallsBackDeterministically) {

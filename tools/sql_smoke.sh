@@ -15,8 +15,7 @@
 #
 # Usage: tools/sql_smoke.sh [-B build_dir]     (default build dir: build)
 #
-# Registered as the `sql_smoke` ctest entry; .github/workflows/ci.yml runs
-# it too.
+# Registered as the `sql_smoke` ctest entry, which is how CI runs it.
 
 set -euo pipefail
 
