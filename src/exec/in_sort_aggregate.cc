@@ -5,7 +5,8 @@ namespace ovc {
 InSortAggregate::InSortAggregate(Operator* child, uint32_t group_prefix,
                                  std::vector<AggregateSpec> aggregates,
                                  QueryCounters* counters,
-                                 TempFileManager* temp, SortConfig config)
+                                 TempFileManager* temp, SortConfig config,
+                                 uint64_t limit)
     : child_(child),
       group_prefix_(group_prefix),
       aggregates_(std::move(aggregates)),
@@ -15,6 +16,7 @@ InSortAggregate::InSortAggregate(Operator* child, uint32_t group_prefix,
       counters_(counters),
       temp_(temp),
       config_(config),
+      limit_(limit),
       state_row_(state_schema_.total_columns(), 0) {
   OVC_CHECK(group_prefix >= 1);
   OVC_CHECK(group_prefix <= child->schema().total_columns());
@@ -27,7 +29,7 @@ InSortAggregate::InSortAggregate(Operator* child, uint32_t group_prefix,
 void InSortAggregate::Open() {
   failed_ = false;
   sort_ = std::make_unique<ExternalSort>(&state_schema_, counters_, temp_,
-                                         config_, &merge_fns_);
+                                         config_, &merge_fns_, limit_);
   BlockReader input(child_);
   input.Open();
   RowRef ref;

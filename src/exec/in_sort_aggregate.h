@@ -38,11 +38,12 @@ class InSortAggregate : public Operator {
   /// be sorted). Output schema: the group columns as sort keys, one payload
   /// column per aggregate. `config` supplies memory/fan-in knobs; its
   /// run-generation fields are honored, while the sort always runs with
-  /// codes and batch run generation (see ExternalSort).
+  /// codes and batch run generation (see ExternalSort). A `limit` k (0 =
+  /// none) makes it produce only the first k groups.
   InSortAggregate(Operator* child, uint32_t group_prefix,
                   std::vector<AggregateSpec> aggregates,
                   QueryCounters* counters, TempFileManager* temp,
-                  SortConfig config = SortConfig());
+                  SortConfig config = SortConfig(), uint64_t limit = 0);
 
   void Open() override;
   uint32_t NextBatch(RowBlock* out) override;
@@ -60,6 +61,7 @@ class InSortAggregate : public Operator {
   QueryCounters* counters_;
   TempFileManager* temp_;
   SortConfig config_;
+  uint64_t limit_;
   std::vector<uint64_t> state_row_;
   std::unique_ptr<ExternalSort> sort_;
   bool failed_ = false;

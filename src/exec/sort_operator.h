@@ -18,15 +18,21 @@ namespace ovc {
 class SortOperator : public Operator {
  public:
   /// `child`, `counters` (optional), and `temp` must outlive the operator.
+  /// A `limit` k (0 = none) makes it produce only the first k rows, sorting
+  /// only what they need (see ExternalSort).
   SortOperator(Operator* child, QueryCounters* counters, TempFileManager* temp,
-               SortConfig config = SortConfig())
-      : child_(child), counters_(counters), temp_(temp), config_(config) {}
+               SortConfig config = SortConfig(), uint64_t limit = 0)
+      : child_(child),
+        counters_(counters),
+        temp_(temp),
+        config_(config),
+        limit_(limit) {}
 
   void Open() override {
     failed_ = false;
     child_->Open();
     sort_ = std::make_unique<ExternalSort>(&child_->schema(), counters_, temp_,
-                                           config_);
+                                           config_, nullptr, limit_);
     // Batched intake: drain the child block-wise so run generation's memory
     // buffer fills with bulk copies instead of per-row virtual pulls.
     RowBlock block(child_->schema().total_columns());
@@ -71,6 +77,7 @@ class SortOperator : public Operator {
   QueryCounters* counters_;
   TempFileManager* temp_;
   SortConfig config_;
+  uint64_t limit_;
   std::unique_ptr<ExternalSort> sort_;
   uint64_t last_spilled_runs_ = 0;
   bool failed_ = false;

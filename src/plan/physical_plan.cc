@@ -462,6 +462,14 @@ const char* SplitPolicyName(SplitExchange::Policy policy) {
   return "unknown";
 }
 
+/// A plan line's detail with the output limit a sort or in-sort aggregate
+/// was handed, e.g. "group=1, top=10".
+std::string WithTop(const std::string& detail, uint64_t limit) {
+  if (limit == 0) return detail;
+  const std::string top = "top=" + std::to_string(limit);
+  return detail.empty() ? top : detail + ", " + top;
+}
+
 /// Appends `line` and its subtree to `out`, two spaces per depth.
 void RenderLine(const std::vector<PhysicalPlan::Line>& lines, int line,
                 int depth, std::string* out) {
@@ -573,7 +581,8 @@ Operator* Planner::Wrap(PhysicalPlan* plan, Operator* op, const Meter& m) {
 
 Planner::Built Planner::InsertSort(Built child,
                                    const LogicalNode* logical_child,
-                                   PhysicalPlan* plan, QueryCounters* ctrs) {
+                                   PhysicalPlan* plan, QueryCounters* ctrs,
+                                   uint64_t limit) {
   // Planner-inserted sorts always feed code-consuming operators (merge
   // join, dedup, set operation), so the configured sort must deliver
   // codes; catch a code-free ablation config here, at plan time, instead
@@ -586,12 +595,12 @@ Planner::Built Planner::InsertSort(Built child,
   built.prop = SortOutput(schema, options_.sort_config);
   built.est.rows = child.est.rows;
   built.est.cost = child.est.cost + SortCostFor(cost_model_, cc, schema);
-  built.line = plan->AddLine(PhysicalAlg::kSort, "inserted", built.prop,
-                             built.est, {child.line});
+  built.line = plan->AddLine(PhysicalAlg::kSort, WithTop("inserted", limit),
+                             built.prop, built.est, {child.line});
   const Meter m = NewMeter(plan, built.line, ctrs);
   built.op = Wrap(plan,
                   plan->Own(std::make_unique<SortOperator>(
-                      child.op, m.ctrs, temp_, options_.sort_config)),
+                      child.op, m.ctrs, temp_, options_.sort_config, limit)),
                   m);
   ++plan->inserted_sorts_;
   return built;
@@ -676,7 +685,7 @@ Planner::Built Planner::BuildExchangeRegion(
 }
 
 Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
-                                  QueryCounters* ctrs) {
+                                  QueryCounters* ctrs, uint64_t limit) {
   Built result;
   const CostModel& model = cost_model_;
   const double out_rows = node->card.rows;
@@ -709,7 +718,8 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
     }
 
     case LogicalOp::kProject: {
-      Built child = BuildNode(node->children[0].get(), plan, ctrs);
+      // One output row per input row, in input order: the limit passes.
+      Built child = BuildNode(node->children[0].get(), plan, ctrs, limit);
       result.prop = ProjectOutput(*node, child.prop);
       result.est = {out_rows, child.est.cost + model.Project(out_rows)};
       result.line = plan->AddLine(PhysicalAlg::kProject, "", result.prop,
@@ -885,7 +895,13 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
           OVC_CHECK(false);
       }
       const uint32_t group_prefix = node->group_prefix;
-      const std::string group = "group=" + std::to_string(group_prefix);
+      // Only the in-sort form can stop at the first `limit` groups; each
+      // worker of the hash-split form owns whole groups, so each takes the
+      // limit and the merging exchange keeps the smallest.
+      const uint64_t top =
+          d.alg == PhysicalAlg::kInSortAggregate ? limit : 0;
+      const std::string group =
+          WithTop("group=" + std::to_string(group_prefix), top);
       if (pre_parallel_agg && parallel_agg_for(child.prop)) {
         const std::vector<AggregateSpec>& aggregates = node->aggregates;
         const bool in_stream = d.alg == PhysicalAlg::kInStreamAggregate;
@@ -902,7 +918,8 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
                     parts[0], group_prefix, aggregates, wc);
               }
               return std::make_unique<InSortAggregate>(
-                  parts[0], group_prefix, aggregates, wc, temp, sort_config);
+                  parts[0], group_prefix, aggregates, wc, temp, sort_config,
+                  top);
             });
         break;
       }
@@ -923,7 +940,7 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
         case PhysicalAlg::kInSortAggregate:
           result.op = plan->Own(std::make_unique<InSortAggregate>(
               child.op, group_prefix, node->aggregates, m.ctrs, temp_,
-              options_.sort_config));
+              options_.sort_config, top));
           break;
         case PhysicalAlg::kHashAggregate:
           result.op = plan->Own(std::make_unique<HashAggregate>(
@@ -964,10 +981,13 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
         default:
           OVC_CHECK(false);
       }
+      // In-sort duplicate removal stops at the first `limit` keys; the
+      // others do not take a limit.
+      const uint64_t top = d.alg == PhysicalAlg::kInSortDistinct ? limit : 0;
       result.prop = d.out;
       result.est = {out_rows, child.est.cost + alg_cost};
-      result.line =
-          plan->AddLine(d.alg, "", result.prop, result.est, {child.line});
+      result.line = plan->AddLine(d.alg, WithTop("", top), result.prop,
+                                  result.est, {child.line});
       const Meter m = NewMeter(plan, result.line, ctrs);
       switch (d.alg) {
         case PhysicalAlg::kDedup:
@@ -977,7 +997,7 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
           result.op = plan->Own(std::make_unique<InSortAggregate>(
               child.op, node->schema.key_arity(),
               std::vector<AggregateSpec>(), m.ctrs, temp_,
-              options_.sort_config));
+              options_.sort_config, top));
           break;
         case PhysicalAlg::kHashDistinct:
           result.op = plan->Own(std::make_unique<HashAggregate>(
@@ -1040,8 +1060,14 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
           parallel_sort_for(node->children[0]->inferred);
       QueryCounters* region_ctrs =
           pre_parallel_sort ? plan->NewWorkerCounters() : ctrs;
-      Built child = BuildNode(node->children[0].get(), plan, region_ctrs);
+      // An elided sort passes its input through, so the limit goes on down.
+      const bool pre_elided =
+          DecideSort(*node, node->children[0]->inferred, options_).alg ==
+          PhysicalAlg::kElidedSort;
+      Built child = BuildNode(node->children[0].get(), plan, region_ctrs,
+                              pre_elided ? limit : 0);
       UnaryDecision d = DecideSort(*node, child.prop, options_);
+      OVC_CHECK(!pre_elided || d.alg == PhysicalAlg::kElidedSort);
       if (d.alg == PhysicalAlg::kElidedSort) {
         // The logical sort vanishes: its plan line has no operator (and,
         // profiled, no stats slice -- it reports its child's actuals).
@@ -1055,26 +1081,30 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
       ++plan->explicit_sorts_;
       const double sort_cost = SortCostFor(model, node->card, node->schema);
       if (pre_parallel_sort && parallel_sort_for(child.prop)) {
+        // Each worker keeps its first `limit` rows; the merging exchange
+        // takes the smallest of them.
         TempFileManager* temp = temp_;
         const SortConfig& sort_config = options_.sort_config;
         result = BuildExchangeRegion(
             {child}, {region_ctrs}, SplitExchange::Policy::kRoundRobin, 0,
-            child.prop, d.alg, "", d.out, sort_cost, out_rows, ctrs, plan,
-            [temp, &sort_config](const std::vector<Operator*>& parts,
-                                 QueryCounters* wc) {
+            child.prop, d.alg, WithTop("", limit), d.out, sort_cost, out_rows,
+            ctrs, plan,
+            [temp, &sort_config, limit](const std::vector<Operator*>& parts,
+                                        QueryCounters* wc) {
               return std::make_unique<SortOperator>(parts[0], wc, temp,
-                                                    sort_config);
+                                                    sort_config, limit);
             });
         break;
       }
       result.prop = d.out;
       result.est = {out_rows, child.est.cost + sort_cost};
-      result.line =
-          plan->AddLine(d.alg, "", result.prop, result.est, {child.line});
+      result.line = plan->AddLine(d.alg, WithTop("", limit), result.prop,
+                                  result.est, {child.line});
       const Meter m = NewMeter(plan, result.line, ctrs);
       result.op = Wrap(plan,
                        plan->Own(std::make_unique<SortOperator>(
-                           child.op, m.ctrs, temp_, options_.sort_config)),
+                           child.op, m.ctrs, temp_, options_.sort_config,
+                           limit)),
                        m);
       break;
     }
@@ -1083,14 +1113,23 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
     case LogicalOp::kLimit: {
       // TopK sorts its child unless it already arrives sorted with codes;
       // a bare limit (no order requested) truncates the child's stream in
-      // whatever order it arrives, passing order and codes through.
-      Built child = BuildNode(node->children[0].get(), plan, ctrs);
+      // whatever order it arrives, passing order and codes through. Either
+      // way no more than k rows are read below, so k (or a smaller limit
+      // from above) goes down to the sort that produces them.
+      const uint64_t k =
+          limit != 0 && limit < node->limit ? limit : node->limit;
+      const bool sorts =
+          node->op == LogicalOp::kTopK &&
+          DecideTopK(*node, node->children[0]->inferred, options_).sort_child;
+      Built child =
+          BuildNode(node->children[0].get(), plan, ctrs, sorts ? 0 : k);
       result.prop = child.prop;
       if (node->op == LogicalOp::kTopK) {
         UnaryDecision d = DecideTopK(*node, child.prop, options_);
+        OVC_CHECK(d.sort_child == sorts);
         if (d.sort_child) {
           child = InsertSort(std::move(child), node->children[0].get(), plan,
-                             ctrs);
+                             ctrs, k);
         }
         result.prop = d.out;
       }

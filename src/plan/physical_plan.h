@@ -344,12 +344,21 @@ class Planner {
   /// parallel region (everything below a splitting exchange executes on
   /// whichever producer thread pumps the split, so it must never share the
   /// consumer thread's counters).
-  Built BuildNode(LogicalNode* node, PhysicalPlan* plan, QueryCounters* ctrs);
-  /// Wraps `child` in a planner-inserted SortOperator metered by `ctrs`.
-  /// `logical_child` provides the cardinality estimate for the sort's
-  /// cost annotation.
+  ///
+  /// `limit` (0 = none) is the most rows the parent reads from this
+  /// subtree. It travels only through nodes that keep their input's order
+  /// and row count (a limit, a project, an elided sort), down to a sort or
+  /// in-sort aggregate -- serial, or each worker under a merging exchange --
+  /// which then produces only that many rows or groups. Estimates ignore
+  /// it, so it never moves a plan choice.
+  Built BuildNode(LogicalNode* node, PhysicalPlan* plan, QueryCounters* ctrs,
+                  uint64_t limit = 0);
+  /// Wraps `child` in a planner-inserted SortOperator metered by `ctrs`,
+  /// producing at most `limit` rows (0 = all). `logical_child` provides
+  /// the cardinality estimate for the sort's cost annotation.
   Built InsertSort(Built child, const LogicalNode* logical_child,
-                   PhysicalPlan* plan, QueryCounters* ctrs);
+                   PhysicalPlan* plan, QueryCounters* ctrs,
+                   uint64_t limit = 0);
 
   /// True when exchange-parallel shapes are enabled and usable.
   bool ParallelEnabled() const {

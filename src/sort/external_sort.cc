@@ -56,12 +56,13 @@ Status WriteRunFile(const Schema* schema, QueryCounters* counters,
 /// Sorts `rows` into `sink` (see SortToRunFile).
 void SortRows(const Schema* schema, QueryCounters* counters,
               const SortConfig& config, const RowBuffer& rows,
-              const std::vector<StateMergeFn>* merge_fns, RunSink* sink) {
+              const std::vector<StateMergeFn>* merge_fns, RunSink* sink,
+              RunCut* cut) {
   OVC_TRACE_SPAN("sort.run_generation");
   BatchSorter sorter(schema, counters, config.run_gen, config.mini_run_rows,
                      config.use_ovc, config.naive_output_codes);
   EmitMaybeCollapsed(schema, merge_fns, sink,
-                     [&](RunSink* s) { sorter.Sort(rows, s); });
+                     [&](RunSink* s) { sorter.Sort(rows, s, cut); });
 }
 
 }  // namespace
@@ -69,13 +70,15 @@ void SortRows(const Schema* schema, QueryCounters* counters,
 RunFileMerge::RunFileMerge(const Schema* schema, QueryCounters* counters,
                            TempFileManager* error_sink,
                            const SortConfig& config,
-                           const std::vector<StateMergeFn>* merge_fns)
+                           const std::vector<StateMergeFn>* merge_fns,
+                           uint64_t limit)
     : schema_(schema),
       codec_(schema),
       comparator_(schema, counters),
       error_sink_(error_sink),
       config_(config),
-      merge_fns_(merge_fns) {
+      merge_fns_(merge_fns),
+      cut_(schema, limit, merge_fns != nullptr) {
   OVC_CHECK(merge_fns_ == nullptr || config_.use_ovc);
 }
 
@@ -108,15 +111,24 @@ Status RunFileMerge::Open(const std::vector<SpilledRun>& runs) {
   return Status::Ok();
 }
 
+bool RunFileMerge::Pull(RowRef* out) {
+  if (cut_.done()) return false;
+  bool more = false;
+  if (merger_ != nullptr) {
+    more = merger_->Next(out);
+  } else if (plain_merger_ != nullptr) {
+    more = plain_merger_->Next(out);
+  }
+  return more && cut_.Admit(out->cols, out->ovc);
+}
+
 bool RunFileMerge::Next(RowRef* out) {
   OVC_CHECK(merge_fns_ == nullptr);
-  if (merger_ != nullptr) return merger_->Next(out);
-  if (plain_merger_ != nullptr) return plain_merger_->Next(out);
-  return false;  // no runs
+  return Pull(out);
 }
 
 uint32_t RunFileMerge::NextBlock(RowBlock* out) {
-  if (merger_ != nullptr && collapser_ == nullptr) {
+  if (merger_ != nullptr && collapser_ == nullptr && cut_.limit() == 0) {
     return merger_->NextBlock(out);
   }
   out->Clear();
@@ -126,12 +138,13 @@ uint32_t RunFileMerge::NextBlock(RowBlock* out) {
     // so stop at a full block; the group in progress stays pending in the
     // collapser for the next call.
     block_sink_.block = out;
-    while (!out->full() && merger_->Next(&ref)) {
+    while (!out->full() && Pull(&ref)) {
       collapser_->Accept(ref.cols, ref.ovc);
     }
-    if (!out->full()) collapser_->Flush();  // the merge is exhausted
-  } else if (plain_merger_ != nullptr) {
-    while (!out->full() && plain_merger_->Next(&ref)) {
+    // The merge is exhausted or cut: the pending group is complete.
+    if (!out->full()) collapser_->Flush();
+  } else {
+    while (!out->full() && Pull(&ref)) {
       out->Append(ref.cols, ref.ovc);
     }
   }
@@ -141,12 +154,9 @@ uint32_t RunFileMerge::NextBlock(RowBlock* out) {
 void RunFileMerge::Drain(RunSink* sink) {
   EmitMaybeCollapsed(schema_, merge_fns_, sink, [this](RunSink* s) {
     RowRef ref;
-    if (merger_ != nullptr) {
-      while (merger_->Next(&ref)) s->Accept(ref.cols, ref.ovc);
-    } else if (plain_merger_ != nullptr) {
-      while (plain_merger_->Next(&ref)) {
-        s->Accept(ref.cols, codec_.MakeFromRow(ref.cols, 0));
-      }
+    while (Pull(&ref)) {
+      s->Accept(ref.cols,
+                merger_ != nullptr ? ref.ovc : codec_.MakeFromRow(ref.cols, 0));
     }
   });
 }
@@ -154,9 +164,9 @@ void RunFileMerge::Drain(RunSink* sink) {
 Status SortToRunFile(const Schema* schema, QueryCounters* counters,
                      const SortConfig& config, const RowBuffer& rows,
                      const std::vector<StateMergeFn>* merge_fns,
-                     const std::string& path, SpilledRun* run) {
+                     const std::string& path, SpilledRun* run, RunCut* cut) {
   return WriteRunFile(schema, counters, path, run, [&](RunSink* sink) {
-    SortRows(schema, counters, config, rows, merge_fns, sink);
+    SortRows(schema, counters, config, rows, merge_fns, sink, cut);
   });
 }
 
@@ -164,10 +174,12 @@ Status MergeToRunFile(const Schema* schema, QueryCounters* counters,
                       TempFileManager* error_sink, const SortConfig& config,
                       const std::vector<SpilledRun>& runs,
                       const std::vector<StateMergeFn>* merge_fns,
-                      const std::string& path, SpilledRun* run) {
+                      const std::string& path, SpilledRun* run,
+                      uint64_t limit) {
   SortConfig merge_config = config;
   merge_config.naive_output_codes = false;
-  RunFileMerge merge(schema, counters, error_sink, merge_config, merge_fns);
+  RunFileMerge merge(schema, counters, error_sink, merge_config, merge_fns,
+                     limit);
   OVC_RETURN_IF_ERROR(merge.Open(runs));
   return WriteRunFile(schema, counters, path, run,
                       [&](RunSink* sink) { merge.Drain(sink); });
@@ -175,12 +187,15 @@ Status MergeToRunFile(const Schema* schema, QueryCounters* counters,
 
 ExternalSort::ExternalSort(const Schema* schema, QueryCounters* counters,
                            TempFileManager* temp, SortConfig config,
-                           const std::vector<StateMergeFn>* merge_fns)
+                           const std::vector<StateMergeFn>* merge_fns,
+                           uint64_t limit)
     : schema_(schema),
       counters_(counters),
       temp_(temp),
       config_(config),
       merge_fns_(merge_fns),
+      limit_(limit),
+      comparator_(schema, counters),
       buffer_(schema->total_columns()) {
   OVC_CHECK(config_.memory_rows >= 2);
   OVC_CHECK(config_.fan_in >= 2);
@@ -206,6 +221,12 @@ void ExternalSort::Add(const uint64_t* row) {
     DeferError(rs_->Add(row));
     return;
   }
+  if (!cutoff_.empty()) {
+    // Past a cut run: a row after the cutoff cannot reach the output (nor
+    // can a plain sort's tie; a collapsing sort's tie is the k-th group).
+    const int cmp = comparator_.Compare(row, cutoff_.data());
+    if (cmp > 0 || (cmp == 0 && merge_fns_ == nullptr)) return;
+  }
   buffer_.AppendRow(row);
   if (buffer_.size() >= config_.memory_rows) {
     DeferError(SpillBuffer());
@@ -225,7 +246,7 @@ void ExternalSort::AddBlock(const RowBlock& block) {
     return;
   }
   uint32_t taken = 0;
-  while (taken < block.size()) {
+  while (taken < block.size() && cutoff_.empty()) {
     const uint64_t room = config_.memory_rows - buffer_.size();
     const uint32_t n = static_cast<uint32_t>(
         std::min<uint64_t>(room, block.size() - taken));
@@ -236,6 +257,8 @@ void ExternalSort::AddBlock(const RowBlock& block) {
       if (!deferred_error_.ok()) return;
     }
   }
+  // Past a cut run, each row passes the cutoff test on its own.
+  for (; taken < block.size(); ++taken) Add(block.row(taken));
 }
 
 void ExternalSort::DeferError(const Status& status) {
@@ -250,8 +273,15 @@ Status ExternalSort::SpillBuffer() {
   if (buffer_.empty()) return Status::Ok();
   OVC_TRACE_SPAN("sort.spill_run");
   SpilledRun run;
+  RunCut cut = NewCut();
   OVC_RETURN_IF_ERROR(SortToRunFile(schema_, counters_, config_, buffer_,
-                                    merge_fns_, temp_->NewPath("run"), &run));
+                                    merge_fns_, temp_->NewPath("run"), &run,
+                                    &cut));
+  const std::vector<uint64_t>& kth = cut.kth();
+  if (!kth.empty() &&
+      (cutoff_.empty() || comparator_.Compare(kth.data(), cutoff_.data()) < 0)) {
+    cutoff_ = kth;
+  }
   runs_.push_back(run);
   ++spilled_runs_;
   OVC_METRIC_COUNTER("sort.runs_spilled",
@@ -281,9 +311,14 @@ Status ExternalSort::Finish() {
     memory_run_ = std::make_unique<InMemoryRun>(schema_->total_columns());
     // A collapsed run holds one row per group, usually far fewer than the
     // input; let it grow instead.
-    if (merge_fns_ == nullptr) memory_run_->Reserve(buffer_.size());
+    if (merge_fns_ == nullptr) {
+      memory_run_->Reserve(limit_ == 0 ? buffer_.size()
+                                       : std::min<uint64_t>(limit_,
+                                                            buffer_.size()));
+    }
     MemoryRunSink sink(memory_run_.get());
-    SortRows(schema_, counters_, config_, buffer_, merge_fns_, &sink);
+    RunCut cut = NewCut();
+    SortRows(schema_, counters_, config_, buffer_, merge_fns_, &sink, &cut);
     memory_source_ =
         std::make_unique<InMemoryRunSource>(memory_run_.get());
     return Status::Ok();
@@ -313,7 +348,8 @@ Status ExternalSort::PrepareMerge(std::vector<SpilledRun> runs) {
       SpilledRun merged;
       OVC_RETURN_IF_ERROR(MergeToRunFile(schema_, counters_, temp_, config_,
                                          group, merge_fns_,
-                                         temp_->NewPath("merge"), &merged));
+                                         temp_->NewPath("merge"), &merged,
+                                         limit_));
       next_level.push_back(merged);
     }
     runs = std::move(next_level);
@@ -321,7 +357,7 @@ Status ExternalSort::PrepareMerge(std::vector<SpilledRun> runs) {
 
   // Final merge, served incrementally through Next()/NextBlock().
   merge_ = std::make_unique<RunFileMerge>(schema_, counters_, temp_, config_,
-                                          merge_fns_);
+                                          merge_fns_, limit_);
   return merge_->Open(runs);
 }
 

@@ -72,10 +72,13 @@ class RunFileMerge {
   /// `schema`, `counters` (optional), `error_sink` and `merge_fns` must
   /// outlive the merge. `error_sink` is passed to every RunFileReader
   /// (nullptr: a corrupt run file aborts). `merge_fns` (optional, one per
-  /// payload column) turns on collapse, which needs use_ovc.
+  /// payload column) turns on collapse, which needs use_ovc. A `limit`
+  /// (0 = none) stops the merge after that many rows, or groups when it
+  /// collapses.
   RunFileMerge(const Schema* schema, QueryCounters* counters,
                TempFileManager* error_sink, const SortConfig& config,
-               const std::vector<StateMergeFn>* merge_fns = nullptr);
+               const std::vector<StateMergeFn>* merge_fns = nullptr,
+               uint64_t limit = 0);
   ~RunFileMerge();
 
   /// Opens every run; no runs make an empty stream.
@@ -93,6 +96,9 @@ class RunFileMerge {
   void Drain(RunSink* sink);
 
  private:
+  /// Next merged row within the limit.
+  bool Pull(RowRef* out);
+
   /// RunSink appending to the block NextBlock is filling.
   struct BlockSink final : RunSink {
     void Accept(const uint64_t* row, Ovc code) override {
@@ -107,6 +113,7 @@ class RunFileMerge {
   TempFileManager* error_sink_;
   SortConfig config_;
   const std::vector<StateMergeFn>* merge_fns_;
+  RunCut cut_;
   std::vector<std::unique_ptr<RunFileReader>> readers_;
   // Exactly one merger serves a non-empty stream. The OVC merge runs over
   // concrete RunFileReader sources so the tournament's refill calls
@@ -119,11 +126,13 @@ class RunFileMerge {
 
 /// Sorts `rows` (one batch run generation per `config`) into a new run file
 /// at `path`, collapsing key-duplicates when `merge_fns` is set, and
-/// describes the file in `run`.
+/// describes the file in `run`. A `cut` (optional) ends the run at its
+/// limit.
 Status SortToRunFile(const Schema* schema, QueryCounters* counters,
                      const SortConfig& config, const RowBuffer& rows,
                      const std::vector<StateMergeFn>* merge_fns,
-                     const std::string& path, SpilledRun* run);
+                     const std::string& path, SpilledRun* run,
+                     RunCut* cut = nullptr);
 
 /// Merges `runs` into a new run file at `path` and describes it in `run`.
 /// Arguments as for RunFileMerge; the merge derives no naive codes (a
@@ -132,20 +141,32 @@ Status MergeToRunFile(const Schema* schema, QueryCounters* counters,
                       TempFileManager* error_sink, const SortConfig& config,
                       const std::vector<SpilledRun>& runs,
                       const std::vector<StateMergeFn>* merge_fns,
-                      const std::string& path, SpilledRun* run);
+                      const std::string& path, SpilledRun* run,
+                      uint64_t limit = 0);
 
 /// Sorts a stream of rows. Push rows with Add(), call Finish(), then pull
 /// the sorted, offset-value-coded output with Next() or NextBlock().
+///
+/// An output limit k (rows, or groups when the sort collapses) makes the
+/// sort serve only the first k: every run-generation pass stops once its
+/// run holds k, the merges stop after k, and once a run was cut, intake
+/// drops each row that sorts after the smallest k-th key cut so far (one
+/// key comparison per row) -- a plain sort drops its ties too, since the
+/// cut run already holds k earlier rows of that key, while a collapsing
+/// sort keeps them, as they belong to the k-th group. The sort is stable,
+/// so the output is exactly the first k rows of the unlimited sort.
 class ExternalSort {
  public:
   /// `schema`, `counters` (optional), `temp` and `merge_fns` must outlive
   /// the sort. `merge_fns` (one per payload column) makes the sort collapse
   /// key-duplicates at every stage; a collapsing sort always runs with
   /// codes (use_ovc on, naive_output_codes and replacement_selection off),
-  /// because duplicates are recognized from their codes.
+  /// because duplicates are recognized from their codes. `limit` is the
+  /// output limit k (0 = none).
   ExternalSort(const Schema* schema, QueryCounters* counters,
                TempFileManager* temp, SortConfig config,
-               const std::vector<StateMergeFn>* merge_fns = nullptr);
+               const std::vector<StateMergeFn>* merge_fns = nullptr,
+               uint64_t limit = 0);
   ~ExternalSort();
 
   /// Adds one input row (copied). Spill I/O errors during intake do not
@@ -183,12 +204,20 @@ class ExternalSort {
   Status PrepareMerge(std::vector<SpilledRun> runs);
   /// Records the first intake error and degrades (see Add).
   void DeferError(const Status& status);
+  /// A cut for one run-generation pass.
+  RunCut NewCut() const {
+    return RunCut(schema_, limit_, merge_fns_ != nullptr);
+  }
 
   const Schema* schema_;
   QueryCounters* counters_;
   TempFileManager* temp_;
   SortConfig config_;
   const std::vector<StateMergeFn>* merge_fns_;
+  uint64_t limit_;
+  KeyComparator comparator_;
+  /// The smallest k-th key of a cut run so far (empty: no run was cut).
+  std::vector<uint64_t> cutoff_;
 
   RowBuffer buffer_;
   std::unique_ptr<ReplacementSelection> rs_;

@@ -12,6 +12,24 @@
 
 namespace ovc {
 
+namespace {
+
+/// Pops rows with `pop` and hands them to `emit` until the stream ends or
+/// `cut` (optional) closes the run.
+template <typename Pop, typename Emit>
+void PopInto(RunCut* cut, Pop pop, Emit emit) {
+  RowRef ref;
+  if (cut == nullptr || cut->limit() == 0) {
+    while (pop(&ref)) emit(ref);
+    return;
+  }
+  while (!cut->done() && pop(&ref) && cut->Admit(ref.cols, ref.ovc)) {
+    emit(ref);
+  }
+}
+
+}  // namespace
+
 BatchSorter::BatchSorter(const Schema* schema, QueryCounters* counters,
                          RunGenMode mode, uint32_t mini_run_rows, bool use_ovc,
                          bool naive_codes)
@@ -26,7 +44,7 @@ BatchSorter::BatchSorter(const Schema* schema, QueryCounters* counters,
   OVC_CHECK(mini_run_rows_ >= 2);
 }
 
-void BatchSorter::Sort(const RowBuffer& buffer, RunSink* sink) {
+void BatchSorter::Sort(const RowBuffer& buffer, RunSink* sink, RunCut* cut) {
   std::vector<const uint64_t*> rows;
   rows.reserve(buffer.size());
   for (size_t i = 0; i < buffer.size(); ++i) {
@@ -34,57 +52,61 @@ void BatchSorter::Sort(const RowBuffer& buffer, RunSink* sink) {
   }
   switch (mode_) {
     case RunGenMode::kPqSingleRowRuns:
-      SortPqSingle(rows, sink);
+      SortPqSingle(rows, sink, cut);
       break;
     case RunGenMode::kPqMiniRuns:
-      SortPqMini(rows, sink);
+      SortPqMini(rows, sink, cut);
       break;
     case RunGenMode::kStdSort:
-      SortStd(rows, sink);
+      SortStd(rows, sink, cut);
       break;
   }
 }
 
 void BatchSorter::SortPqSingle(const std::vector<const uint64_t*>& rows,
-                               RunSink* sink) {
-  RowRef ref;
+                               RunSink* sink, RunCut* cut) {
   if (use_ovc_) {
     PqSorter sorter(&codec_, &comparator_);
     sorter.Reset(rows.data(), static_cast<uint32_t>(rows.size()));
-    while (sorter.Next(&ref)) {
-      sink->Accept(ref.cols, ref.ovc);
-    }
+    PopInto(
+        cut, [&](RowRef* ref) { return sorter.Next(ref); },
+        [&](const RowRef& ref) { sink->Accept(ref.cols, ref.ovc); });
   } else {
     PlainPqSorter sorter(&codec_, &comparator_);
     sorter.Reset(rows.data(), static_cast<uint32_t>(rows.size()));
-    while (sorter.Next(&ref)) {
-      sink->Accept(ref.cols, codec_.MakeFromRow(ref.cols, 0));
-    }
+    PopInto(
+        cut, [&](RowRef* ref) { return sorter.Next(ref); },
+        [&](const RowRef& ref) {
+          sink->Accept(ref.cols, codec_.MakeFromRow(ref.cols, 0));
+        });
   }
 }
 
 void BatchSorter::SortPqMini(const std::vector<const uint64_t*>& rows,
-                             RunSink* sink) {
+                             RunSink* sink, RunCut* cut) {
   // Sort cache-sized mini-runs, keep them in memory, then merge them all.
+  // Under a cut, each mini-run keeps only what the run's limit can use.
   std::vector<std::unique_ptr<InMemoryRun>> minis;
-  RowRef ref;
   for (size_t begin = 0; begin < rows.size(); begin += mini_run_rows_) {
     const uint32_t count = static_cast<uint32_t>(
         std::min<size_t>(mini_run_rows_, rows.size() - begin));
     auto mini = std::make_unique<InMemoryRun>(schema_->total_columns());
     mini->Reserve(count);
+    RunCut mini_cut = cut == nullptr ? RunCut(schema_, 0, false) : cut->Fresh();
     if (use_ovc_) {
       PqSorter sorter(&codec_, &comparator_);
       sorter.Reset(rows.data() + begin, count);
-      while (sorter.Next(&ref)) {
-        mini->Append(ref.cols, ref.ovc);
-      }
+      PopInto(
+          &mini_cut, [&](RowRef* ref) { return sorter.Next(ref); },
+          [&](const RowRef& ref) { mini->Append(ref.cols, ref.ovc); });
     } else {
       PlainPqSorter sorter(&codec_, &comparator_);
       sorter.Reset(rows.data() + begin, count);
-      while (sorter.Next(&ref)) {
-        mini->Append(ref.cols, codec_.MakeFromRow(ref.cols, 0));
-      }
+      PopInto(
+          &mini_cut, [&](RowRef* ref) { return sorter.Next(ref); },
+          [&](const RowRef& ref) {
+            mini->Append(ref.cols, codec_.MakeFromRow(ref.cols, 0));
+          });
     }
     minis.push_back(std::move(mini));
   }
@@ -99,45 +121,49 @@ void BatchSorter::SortPqMini(const std::vector<const uint64_t*>& rows,
   if (use_ovc_) {
     // Concrete-source merger: the refill calls devirtualize (loser_tree.h).
     OvcMergerT<InMemoryRunSource> merger(&codec_, &comparator_, sources);
-    while (merger.Next(&ref)) {
-      sink->Accept(ref.cols, ref.ovc);
-    }
+    PopInto(
+        cut, [&](RowRef* ref) { return merger.Next(ref); },
+        [&](const RowRef& ref) { sink->Accept(ref.cols, ref.ovc); });
   } else {
     std::vector<MergeSource*> plain_sources(sources.begin(), sources.end());
     PlainMerger::Options options;
     options.derive_output_codes = naive_codes_;
     PlainMerger merger(&codec_, &comparator_, plain_sources, options);
-    while (merger.Next(&ref)) {
-      sink->Accept(ref.cols,
-                   naive_codes_ ? ref.ovc : codec_.MakeFromRow(ref.cols, 0));
-    }
+    PopInto(
+        cut, [&](RowRef* ref) { return merger.Next(ref); },
+        [&](const RowRef& ref) {
+          sink->Accept(ref.cols, naive_codes_
+                                     ? ref.ovc
+                                     : codec_.MakeFromRow(ref.cols, 0));
+        });
   }
 }
 
-void BatchSorter::SortStd(std::vector<const uint64_t*>& rows, RunSink* sink) {
+void BatchSorter::SortStd(std::vector<const uint64_t*>& rows, RunSink* sink,
+                          RunCut* cut) {
   std::stable_sort(rows.begin(), rows.end(),
                    [this](const uint64_t* a, const uint64_t* b) {
                      return comparator_.Compare(a, b) < 0;
                    });
-  if (use_ovc_ || naive_codes_) {
-    // Derive codes the naive way: one adjacent comparison per row.
-    const uint64_t* prev = nullptr;
-    for (const uint64_t* row : rows) {
-      Ovc code;
-      if (prev == nullptr) {
-        code = codec_.MakeInitial(row);
-      } else {
-        const uint32_t d = comparator_.FirstDifference(prev, row, 0);
-        code = codec_.MakeFromRow(row, d);
-      }
-      sink->Accept(row, code);
-      prev = row;
-    }
-  } else {
-    for (const uint64_t* row : rows) {
-      sink->Accept(row, codec_.MakeFromRow(row, 0));
-    }
-  }
+  // Codes the naive way when asked for: one adjacent comparison per row.
+  const bool derive = use_ovc_ || naive_codes_;
+  size_t next = 0;
+  PopInto(
+      cut,
+      [&](RowRef* ref) {
+        if (next == rows.size()) return false;
+        const uint64_t* row = rows[next];
+        if (!derive || next == 0) {
+          ref->ovc = codec_.MakeInitial(row);
+        } else {
+          const uint32_t d = comparator_.FirstDifference(rows[next - 1], row, 0);
+          ref->ovc = codec_.MakeFromRow(row, d);
+        }
+        ref->cols = row;
+        ++next;
+        return true;
+      },
+      [&](const RowRef& ref) { sink->Accept(ref.cols, ref.ovc); });
 }
 
 ReplacementSelection::ReplacementSelection(const Schema* schema,

@@ -49,6 +49,57 @@ class RunSink {
   virtual void Accept(const uint64_t* row, Ovc code) = 0;
 };
 
+/// The output limit of one run step (a run-generation pass or a merge):
+/// admits the first `limit` rows of a sorted, coded stream -- or, counting
+/// `groups`, every row of its first `limit` groups, where a row with the
+/// duplicate code continues its predecessor's group -- and keeps a copy of
+/// the row that reached the limit, the step's k-th key. Cutting a sorted
+/// stream keeps a prefix, so the codes it emits stay valid. Limit 0 admits
+/// everything.
+class RunCut {
+ public:
+  RunCut(const Schema* schema, uint64_t limit, bool groups)
+      : codec_(schema), limit_(limit), groups_(groups) {}
+
+  /// A cut with the same limit for another stream (no rows taken yet).
+  RunCut Fresh() const { return RunCut(&codec_.schema(), limit_, groups_); }
+
+  uint64_t limit() const { return limit_; }
+
+  /// True when the next row, coded `code` relative to the previous admitted
+  /// row, belongs to the output. A refused row closes the cut.
+  bool Admit(const uint64_t* row, Ovc code) {
+    if (limit_ == 0) return true;
+    if (closed_) return false;
+    if (groups_ && taken_ > 0 && codec_.IsDuplicate(code)) return true;
+    if (taken_ == limit_) {
+      closed_ = true;  // the first row of group limit + 1
+      return false;
+    }
+    if (++taken_ == limit_) {
+      kth_.assign(row, row + codec_.schema().total_columns());
+      // A row count is complete at once; the last group may still grow.
+      closed_ = !groups_;
+    }
+    return true;
+  }
+
+  /// True once no further row can be admitted: stop pulling.
+  bool done() const { return closed_; }
+
+  /// The row that reached the limit (empty until one did). Every row or
+  /// group past the limit sorts at or after it.
+  const std::vector<uint64_t>& kth() const { return kth_; }
+
+ private:
+  OvcCodec codec_;
+  uint64_t limit_;
+  bool groups_;
+  uint64_t taken_ = 0;
+  bool closed_ = false;
+  std::vector<uint64_t> kth_;
+};
+
 /// Sorts one in-memory batch and emits it as a run.
 class BatchSorter {
  public:
@@ -59,13 +110,18 @@ class BatchSorter {
   BatchSorter(const Schema* schema, QueryCounters* counters, RunGenMode mode,
               uint32_t mini_run_rows, bool use_ovc, bool naive_codes);
 
-  /// Sorts the rows of `buffer` and feeds them to `sink` in order.
-  void Sort(const RowBuffer& buffer, RunSink* sink);
+  /// Sorts the rows of `buffer` and feeds them to `sink` in order. With a
+  /// `cut` (optional) the pass stops popping once the run holds the cut's
+  /// limit.
+  void Sort(const RowBuffer& buffer, RunSink* sink, RunCut* cut = nullptr);
 
  private:
-  void SortPqSingle(const std::vector<const uint64_t*>& rows, RunSink* sink);
-  void SortPqMini(const std::vector<const uint64_t*>& rows, RunSink* sink);
-  void SortStd(std::vector<const uint64_t*>& rows, RunSink* sink);
+  void SortPqSingle(const std::vector<const uint64_t*>& rows, RunSink* sink,
+                    RunCut* cut);
+  void SortPqMini(const std::vector<const uint64_t*>& rows, RunSink* sink,
+                  RunCut* cut);
+  void SortStd(std::vector<const uint64_t*>& rows, RunSink* sink,
+               RunCut* cut);
 
   const Schema* schema_;
   OvcCodec codec_;

@@ -298,6 +298,12 @@ std::vector<ParityCase> ParityCases() {
          return t->Make<SortOperator>(Unsorted(t), &t->counters, &t->temp,
                                       SpillingConfig());
        }},
+      {"sort_limited_spilled",
+       [](Tree* t) {
+         // Cut runs, the intake cutoff and a merge that stops at 40 rows.
+         return t->Make<SortOperator>(Unsorted(t), &t->counters, &t->temp,
+                                      SpillingConfig(), /*limit=*/40);
+       }},
       MergeExchangeCase("merge_exchange_threaded", true),
       MergeExchangeCase("merge_exchange_inline", false),
       {"split_exchange_partition",
@@ -368,6 +374,13 @@ std::vector<ParityCase> ParityCases() {
                                          std::vector<AggregateSpec>{},
                                          &t->counters, &t->temp,
                                          SpillingConfig());
+       }},
+      {"in_sort_aggregate_limited_spilled",
+       [](Tree* t) {
+         // The first 7 of 25 groups, each with its whole count.
+         return t->Make<InSortAggregate>(
+             Unsorted(t), 2, std::vector<AggregateSpec>{{AggFn::kCount, 0}},
+             &t->counters, &t->temp, SpillingConfig(), /*limit=*/7);
        }},
       SetOpCase("intersect_all", SetOpType::kIntersect, true),
       SetOpCase("except_all", SetOpType::kExcept, true),

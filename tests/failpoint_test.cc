@@ -139,6 +139,37 @@ TEST_F(FailpointTest, ExhaustedOpenRetriesReportCleanSqlError) {
       << got.error().message;
 }
 
+TEST_F(FailpointTest, FailedOpenInLimitedSortReportsCleanSqlError) {
+  SKIP_WITHOUT_FAILPOINTS();
+  // A spilling sort under LIMIT writes cut runs: the first buffer's, then
+  // the survivors of the intake cutoff at the end. Failing either open
+  // must fail the statement cleanly, and the same session then serves the
+  // first 10 rows of the unlimited sort.
+  sql::Catalog catalog;
+  RegisterTables(&catalog);
+  const std::string query = "SELECT k, v FROM fact ORDER BY k LIMIT 10";
+  sql::SqlSession oracle_session(&catalog, SpillingOptions());
+  sql::SqlResult<sql::QueryResult> oracle =
+      oracle_session.Run("SELECT k, v FROM fact ORDER BY k");
+  ASSERT_TRUE(oracle.ok());
+  RowVec first10 = ToRowVec(oracle.value().result.rows);
+  first10.resize(10);
+  for (uint64_t skip : {0, 1}) {
+    SCOPED_TRACE("opens before the failure: " + std::to_string(skip));
+    failpoint::Arm("tempfile.open", skip);
+    sql::SqlSession session(&catalog, SpillingOptions());
+    sql::SqlResult<sql::QueryResult> got = session.Run(query);
+    ASSERT_FALSE(got.ok());
+    EXPECT_NE(got.error().message.find("execution failed"), std::string::npos)
+        << got.error().message;
+    EXPECT_GT(failpoint::Hits("tempfile.open"), skip);
+    failpoint::DisarmAll();
+    sql::SqlResult<sql::QueryResult> retry = session.Run(query);
+    ASSERT_TRUE(retry.ok()) << retry.error().ToString();
+    EXPECT_EQ(ToRowVec(retry.value().result.rows), first10);
+  }
+}
+
 TEST_F(FailpointTest, FailedOpenDuringRepartitionDegradesCleanly) {
   SKIP_WITHOUT_FAILPOINTS();
   // 2000 build rows over 16 level-0 partitions overflow a 64-row budget,

@@ -780,5 +780,221 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.name;
     });
 
+// --- Output limit ------------------------------------------------------------
+//
+// A sort with output limit k must serve exactly the first k rows (or, when
+// it collapses, the first k groups) of the same sort without a limit: the
+// same rows in the same order with the same codes.
+
+struct LimitShape {
+  const char* name;
+  KeyOrder order;
+  uint64_t rows;
+  uint64_t memory_rows;
+  uint64_t distinct;  // per key column; small values make long tie runs
+  bool collapse;
+  RunGenMode mode;
+  bool replacement_selection;
+  bool use_ovc;
+};
+
+enum class LimitK { kOne, kTen, kMemoryMinusOne, kMemory, kPastInput };
+
+struct LimitCase {
+  LimitShape shape;
+  LimitK k;
+};
+
+void PrintTo(const LimitCase& c, std::ostream* os) {
+  *os << c.shape.name << "/" << static_cast<int>(c.k);
+}
+
+uint64_t LimitValue(const LimitCase& c) {
+  switch (c.k) {
+    case LimitK::kOne:
+      return 1;
+    case LimitK::kTen:
+      return 10;
+    case LimitK::kMemoryMinusOne:
+      return c.shape.memory_rows - 1;
+    case LimitK::kMemory:
+      return c.shape.memory_rows;
+    case LimitK::kPastInput:
+      return c.shape.rows + 1;
+  }
+  return 0;
+}
+
+struct SortOutput {
+  RowVec rows;
+  std::vector<Ovc> codes;
+  uint64_t spilled_runs = 0;
+};
+
+// Sorts `table` with output limit `limit` and drains it block by block
+// through small blocks, checking the stream as it goes.
+SortOutput RunLimitedSort(const Schema& schema, const LimitShape& shape,
+                          const RowBuffer& table, uint64_t limit,
+                          QueryCounters* counters) {
+  TempFileManager temp;
+  SortConfig config;
+  config.memory_rows = shape.memory_rows;
+  config.fan_in = 4;
+  config.run_gen = shape.mode;
+  config.mini_run_rows = 64;
+  config.replacement_selection = shape.replacement_selection;
+  config.use_ovc = shape.use_ovc;
+  config.naive_output_codes = !shape.use_ovc;
+  const std::vector<StateMergeFn> sum = {StateMergeFn::kSum};
+  ExternalSort sort(&schema, counters, &temp, config,
+                    shape.collapse ? &sum : nullptr, limit);
+  RowBlock one(schema.total_columns(), 1);
+  for (size_t i = 0; i < table.size(); i += 100) {
+    // Mix block intake with row-at-a-time intake.
+    const size_t end = std::min(table.size(), i + 100);
+    if ((i / 100) % 2 == 0) {
+      RowBlock block(schema.total_columns(), 100);
+      block.AppendContiguous(table.row(i), nullptr,
+                             static_cast<uint32_t>(end - i));
+      sort.AddBlock(block);
+    } else {
+      for (size_t r = i; r < end; ++r) sort.Add(table.row(r));
+    }
+  }
+  EXPECT_TRUE(sort.Finish().ok());
+  SortOutput out;
+  OvcStreamChecker checker(&schema);
+  RowBlock block(schema.total_columns(), 7);
+  while (sort.NextBlock(&block) > 0) {
+    for (uint32_t i = 0; i < block.size(); ++i) {
+      out.rows.emplace_back(block.row(i),
+                            block.row(i) + schema.total_columns());
+      out.codes.push_back(block.code(i));
+      EXPECT_TRUE(checker.Observe(block.row(i), block.code(i)))
+          << checker.error();
+    }
+  }
+  EXPECT_TRUE(temp.first_error().ok()) << temp.first_error().ToString();
+  out.spilled_runs = sort.spilled_runs();
+  return out;
+}
+
+class LimitedSortTest : public ::testing::TestWithParam<LimitCase> {};
+
+TEST_P(LimitedSortTest, ServesThePrefixOfTheUnlimitedSort) {
+  const LimitCase& c = GetParam();
+  const Schema schema = GoldenSchema(3, c.shape.order);
+  RowBuffer table = MakeTable(schema, c.shape.rows, c.shape.distinct,
+                              /*seed=*/c.shape.rows + c.shape.distinct);
+  // Collapse sums the payload: make it the count of input rows per group.
+  if (c.shape.collapse) {
+    for (size_t i = 0; i < table.size(); ++i) {
+      table.mutable_row(i)[schema.key_arity()] = 1;
+    }
+  }
+  const uint64_t k = LimitValue(c);
+  const SortOutput full =
+      RunLimitedSort(schema, c.shape, table, /*limit=*/0, nullptr);
+  QueryCounters counters;
+  const SortOutput top = RunLimitedSort(schema, c.shape, table, k, &counters);
+
+  const size_t want = std::min<size_t>(k, full.rows.size());
+  ASSERT_EQ(top.rows.size(), want);
+  EXPECT_TRUE(std::equal(top.rows.begin(), top.rows.end(), full.rows.begin()));
+  EXPECT_TRUE(
+      std::equal(top.codes.begin(), top.codes.end(), full.codes.begin()));
+  EXPECT_LE(top.spilled_runs, full.spilled_runs);
+}
+
+constexpr RunGenMode kPq = RunGenMode::kPqSingleRowRuns;
+constexpr RunGenMode kMini = RunGenMode::kPqMiniRuns;
+constexpr RunGenMode kStd = RunGenMode::kStdSort;
+
+// In memory and spilling (4000 rows over a 256-row budget: 16 runs, one
+// intermediate merge level at fan-in 4), ascending and mixed directions,
+// plain and collapsing, every run-generation mode, and inputs whose keys
+// repeat thousands of times (4 values per column, 3 columns: 64 keys).
+const LimitShape kLimitShapes[] = {
+    {"memory_asc", kAsc, 200, 256, 1000, false, kPq, false, true},
+    {"spill_asc", kAsc, 4000, 256, 1000, false, kPq, false, true},
+    {"spill_mixed", kMixed, 4000, 256, 1000, false, kPq, false, true},
+    {"spill_mini", kMixed, 4000, 256, 1000, false, kMini, false, true},
+    {"spill_std", kAsc, 4000, 256, 1000, false, kStd, false, true},
+    {"spill_plain", kMixed, 4000, 256, 1000, false, kPq, false, false},
+    {"spill_replacement", kAsc, 4000, 256, 1000, false, kPq, true, true},
+    {"spill_ties", kAsc, 4000, 256, 4, false, kPq, false, true},
+    {"spill_ties_mixed", kMixed, 4000, 256, 4, false, kMini, false, true},
+    {"memory_collapse", kAsc, 200, 256, 8, true, kPq, false, true},
+    {"spill_collapse", kMixed, 4000, 256, 1000, true, kPq, false, true},
+    {"spill_collapse_ties", kAsc, 4000, 256, 4, true, kPq, false, true},
+    {"spill_collapse_ties_mixed", kMixed, 4000, 256, 4, true, kMini, false,
+     true},
+    {"spill_collapse_ties_std", kAsc, 4000, 256, 4, true, kStd, false, true},
+};
+
+std::vector<LimitCase> LimitCases() {
+  std::vector<LimitCase> cases;
+  for (const LimitShape& shape : kLimitShapes) {
+    for (LimitK k : {LimitK::kOne, LimitK::kTen, LimitK::kMemoryMinusOne,
+                     LimitK::kMemory, LimitK::kPastInput}) {
+      cases.push_back({shape, k});
+    }
+  }
+  return cases;
+}
+
+std::string LimitCaseName(const ::testing::TestParamInfo<LimitCase>& info) {
+  static const char* const kNames[] = {"k1", "k10", "k_memory_minus_1",
+                                       "k_memory", "k_past_input"};
+  return std::string(info.param.shape.name) + "_" +
+         kNames[static_cast<int>(info.param.k)];
+}
+
+INSTANTIATE_TEST_SUITE_P(Limits, LimitedSortTest,
+                         ::testing::ValuesIn(LimitCases()), LimitCaseName);
+
+TEST(LimitedSort, CutRunsStopIntake) {
+  // With a cut run behind it, a random input's later rows mostly sort
+  // after the cutoff: 2 runs spill (the first buffer and the few survivors)
+  // instead of 16, and each later row costs one key comparison.
+  const Schema schema(3, 1);
+  RowBuffer table = MakeTable(schema, 4096, 1000, /*seed=*/5);
+  const LimitShape shape = {"cut", kAsc, 4096, 256, 1000, false, kPq, false,
+                            true};
+  QueryCounters unlimited;
+  const SortOutput full = RunLimitedSort(schema, shape, table, 0, &unlimited);
+  QueryCounters limited;
+  const SortOutput top = RunLimitedSort(schema, shape, table, 10, &limited);
+  EXPECT_EQ(full.spilled_runs, 16u);
+  EXPECT_EQ(top.spilled_runs, 2u);
+  EXPECT_LT(limited.code_comparisons, unlimited.code_comparisons / 4);
+  EXPECT_LT(limited.rows_spilled, 256u);
+  EXPECT_GE(limited.row_comparisons, table.size() - 256);
+}
+
+TEST(LimitedSort, CollapsingSortKeepsTheKthGroupWhole) {
+  // Every input row of the first k groups must reach the output, even when
+  // thousands of them tie the cutoff after the first cut run: each group's
+  // count is its input row count.
+  const Schema schema(2, 1);
+  RowBuffer table = MakeTable(schema, 6000, 3, /*seed=*/9);  // 9 groups
+  std::map<std::vector<uint64_t>, uint64_t> count;
+  for (size_t i = 0; i < table.size(); ++i) {
+    table.mutable_row(i)[2] = 1;
+    ++count[{table.row(i)[0], table.row(i)[1]}];
+  }
+  const LimitShape shape = {"groups", kAsc, 6000, 128, 3, true, kPq, false,
+                            true};
+  const SortOutput top = RunLimitedSort(schema, shape, table, 2, nullptr);
+  ASSERT_EQ(top.rows.size(), 2u);
+  auto it = count.begin();
+  for (const std::vector<uint64_t>& row : top.rows) {
+    EXPECT_EQ(row[0], it->first[0]);
+    EXPECT_EQ(row[1], it->first[1]);
+    EXPECT_EQ(row[2], it->second);
+    ++it;
+  }
+}
+
 }  // namespace
 }  // namespace ovc
