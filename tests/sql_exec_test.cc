@@ -687,7 +687,7 @@ TEST_F(SqlExecTest, GoldenExplain) {
       {"SELECT visitor, site FROM hits ORDER BY visitor LIMIT 10",
        1, plan::CostPolicy::kRuleBased, false, 0,
        "limit(k=10) [sorted(1)+ovc] {rows=10 cost=73510}\n"
-       "  sort [sorted(1)+ovc] {rows=3000 cost=73500}\n"
+       "  sort(top=10) [sorted(1)+ovc] {rows=3000 cost=73500}\n"
        "    project [unsorted] {rows=3000 cost=6000}\n"
        "      scan(hits) [unsorted] {rows=3000 cost=3000}\n",
        "scan project sort limit",
@@ -696,7 +696,7 @@ TEST_F(SqlExecTest, GoldenExplain) {
        4, plan::CostPolicy::kCostBased, false, 0,
        "limit(k=10) [sorted(1)+ovc] {rows=10 cost=88510}\n"
        "  merge-exchange(4 workers) [sorted(1)+ovc] {rows=3000 cost=88500}\n"
-       "    sort(per worker) [sorted(1)+ovc] {rows=3000 cost=76500}\n"
+       "    sort(top=10, per worker) [sorted(1)+ovc] {rows=3000 cost=76500}\n"
        "      split-exchange(round-robin) [unsorted] {rows=3000 cost=9000}\n"
        "        project [unsorted] {rows=3000 cost=6000}\n"
        "          scan(hits) [unsorted] {rows=3000 cost=3000}\n",
