@@ -140,6 +140,51 @@ TEST_P(ParallelPlanTest, ParallelInSortAggregateMatchesSerialOracle) {
   EXPECT_EQ(ToRowVec(c.parallel.rows), ToRowVec(c.serial.rows));
 }
 
+TEST_P(ParallelPlanTest, LimitReachesEachWorker) {
+  // Under a LIMIT each worker's sort or in-sort aggregate keeps only its
+  // first k rows or groups -- here while spilling -- and the merging
+  // exchange still yields the serial plan's first k.
+  PlannerOptions base;
+  base.prefer_sort_based = true;
+  base.sort_config.memory_rows = 100;
+  auto sorted = RunBoth(
+      [this] {
+        return PlanBuilder::Scan(BufferSource("t", &schema_, &table_))
+            .Sort()
+            .Limit(25)
+            .Build();
+      },
+      base);
+  ExpectPartitioned(*sorted.parallel_plan);
+  EXPECT_NE(sorted.parallel_plan->ToString().find("sort(top=25, per worker)"),
+            std::string::npos)
+      << sorted.parallel_plan->ToString();
+  // Equal keys may come from different partitions: compare keys in order.
+  auto keys = [this](const RowBuffer& rows) {
+    RowVec out = ToRowVec(rows);
+    for (auto& row : out) row.resize(schema_.key_arity());
+    return out;
+  };
+  EXPECT_EQ(sorted.parallel.rows.size(), 25u);
+  EXPECT_EQ(keys(sorted.parallel.rows), keys(sorted.serial.rows));
+
+  auto grouped = RunBoth(
+      [this] {
+        return PlanBuilder::Scan(BufferSource("t", &schema_, &table_))
+            .Aggregate(1, {{AggFn::kCount, 0}, {AggFn::kMax, 2}})
+            .Limit(3)
+            .Build();
+      },
+      base);
+  ExpectPartitioned(*grouped.parallel_plan);
+  EXPECT_NE(grouped.parallel_plan->ToString().find(
+                "in-sort-aggregate(group=1, top=3, per worker)"),
+            std::string::npos)
+      << grouped.parallel_plan->ToString();
+  EXPECT_EQ(grouped.parallel.rows.size(), 3u);
+  EXPECT_EQ(ToRowVec(grouped.parallel.rows), ToRowVec(grouped.serial.rows));
+}
+
 TEST_P(ParallelPlanTest, ParallelInStreamAggregateMatchesSerialOracle) {
   auto c = RunBoth([this] {
     return PlanBuilder::Scan(RunSource("sorted", &schema_, &left_run_))

@@ -334,6 +334,14 @@ TEST_F(PlannerTest, InferenceMatchesConstructedPlans) {
   make_plans(sort_based);
 }
 
+TEST_F(PlannerTest, TopKHandsItsLimitToTheSort) {
+  auto logical =
+      PlanBuilder::Scan(BufferSource("t", &schema_, &table_)).TopK(10).Build();
+  PhysicalPlan plan = Plan(logical.get());
+  const std::string text = plan.ToString();
+  EXPECT_NE(text.find("sort(inserted, top=10)"), std::string::npos) << text;
+}
+
 TEST_F(PlannerTest, ExplainMentionsChosenAlgorithms) {
   auto logical = PlanBuilder::Scan(BTreeSource("bt", &tree_))
                      .Sort()

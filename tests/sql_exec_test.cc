@@ -702,6 +702,83 @@ TEST_F(SqlExecTest, GoldenExplain) {
        "          scan(hits) [unsorted] {rows=3000 cost=3000}\n",
        "scan project sort limit split-exchange merge-exchange",
        0, 1, 0, 4, 10, 88510},
+      // The limit travels down to the sort or in-sort aggregate producing
+      // the rows -- through projects and elided sorts, and to each worker
+      // under a merging exchange -- with every estimate unchanged.
+      {"SELECT visitor, site FROM hits ORDER BY site DESC, visitor LIMIT 4",
+       1, plan::CostPolicy::kCostBased, false, 0,
+       "limit(k=4) [unsorted] {rows=4 cost=87004}\n"
+       "  project [unsorted] {rows=3000 cost=87000}\n"
+       "    sort(top=4) [sorted(2)+ovc] {rows=3000 cost=84000}\n"
+       "      project [unsorted] {rows=3000 cost=9000}\n"
+       "        project [unsorted] {rows=3000 cost=6000}\n"
+       "          scan(hits) [unsorted] {rows=3000 cost=3000}\n",
+       "scan project sort limit",
+       0, 1, 0, 0, 4, 87004},
+      {"SELECT site, COUNT(*) AS n FROM hits GROUP BY site ORDER BY site "
+       "LIMIT 3",
+       1, plan::CostPolicy::kCostBased, false, 0,
+       "limit(k=3) [sorted(1)+ovc] {rows=3 cost=67511}\n"
+       "  elided-sort [sorted(1)+ovc] {rows=8 cost=67508}\n"
+       "    in-sort-aggregate(group=1, top=3) [sorted(1)+ovc] {rows=8 cost=67508}\n"
+       "      scan(hits) [unsorted] {rows=3000 cost=3000}\n",
+       "scan in-sort-aggregate elided-sort limit",
+       0, 0, 1, 0, 3, 67511},
+      {"SELECT site, COUNT(*) AS n FROM hits GROUP BY site ORDER BY site "
+       "LIMIT 3",
+       4, plan::CostPolicy::kRuleBased, false, 0,
+       "limit(k=3) [sorted(1)+ovc] {rows=3 cost=100543}\n"
+       "  elided-sort [sorted(1)+ovc] {rows=8 cost=100540}\n"
+       "    merge-exchange(4 workers) [sorted(1)+ovc] {rows=8 cost=100540}\n"
+       "      in-sort-aggregate(group=1, top=3, per worker) [sorted(1)+ovc] {rows=8 cost=100508}\n"
+       "        split-exchange(hash) [unsorted] {rows=3000 cost=36000}\n"
+       "          scan(hits) [unsorted] {rows=3000 cost=3000}\n",
+       "scan in-sort-aggregate elided-sort limit split-exchange merge-exchange",
+       0, 0, 1, 4, 3, 100543},
+      {"SELECT DISTINCT site, day FROM hits ORDER BY site, day LIMIT 5",
+       1, plan::CostPolicy::kCostBased, false, 0,
+       "limit(k=5) [sorted(2)+ovc] {rows=5 cost=70889}\n"
+       "  elided-sort [sorted(2)+ovc] {rows=64 cost=70884}\n"
+       "    in-sort-distinct(top=5) [sorted(2)+ovc] {rows=64 cost=70884}\n"
+       "      project [unsorted] {rows=3000 cost=6000}\n"
+       "        scan(hits) [unsorted] {rows=3000 cost=3000}\n",
+       "scan project in-sort-distinct elided-sort limit",
+       0, 0, 1, 0, 5, 70889},
+      {"SELECT site, day FROM hits GROUP BY site, day ORDER BY site, day "
+       "LIMIT 5",
+       4, plan::CostPolicy::kCostBased, false, 0,
+       "limit(k=5) [sorted(2)+ovc] {rows=5 cost=101145}\n"
+       "  elided-sort [sorted(2)+ovc] {rows=64 cost=101140}\n"
+       "    merge-exchange(4 workers) [sorted(2)+ovc] {rows=64 cost=101140}\n"
+       "      in-sort-aggregate(group=2, top=5, per worker) [sorted(2)+ovc] {rows=64 cost=100884}\n"
+       "        split-exchange(hash) [unsorted] {rows=3000 cost=36000}\n"
+       "          scan(hits) [unsorted] {rows=3000 cost=3000}\n",
+       "scan in-sort-aggregate elided-sort limit split-exchange merge-exchange",
+       0, 0, 1, 4, 5, 101145},
+      // It stops at operators that change the row count or need all of
+      // their input: a set operation, and an in-stream aggregate over an
+      // in-sort distinct.
+      {"SELECT a, b FROM s1 INTERSECT SELECT a, b FROM s2 LIMIT 3",
+       4, plan::CostPolicy::kRuleBased, false, 0,
+       "limit(k=3) [sorted(2)+ovc] {rows=3 cost=78791}\n"
+       "  set-operation(distinct) [sorted(2)+ovc] {rows=788 cost=78788}\n"
+       "    sort(inserted) [sorted(2)+ovc] {rows=1500 cost=36750}\n"
+       "      scan(s1) [unsorted] {rows=1500 cost=1500}\n"
+       "    sort(inserted) [sorted(2)+ovc] {rows=1500 cost=36750}\n"
+       "      scan(s2) [unsorted] {rows=1500 cost=1500}\n",
+       "scan set-operation sort limit",
+       2, 0, 0, 0, 3, 78790.508484065955},
+      {"SELECT site, COUNT(DISTINCT visitor) AS v FROM hits GROUP BY "
+       "site ORDER BY site LIMIT 2",
+       1, plan::CostPolicy::kCostBased, false, 0,
+       "limit(k=2) [sorted(1)+ovc] {rows=2 cost=85710}\n"
+       "  elided-sort [sorted(1)+ovc] {rows=208 cost=85708}\n"
+       "    in-stream-aggregate(group=1) [sorted(1)+ovc] {rows=208 cost=85708}\n"
+       "      in-sort-distinct [sorted(2)+ovc] {rows=3000 cost=81000}\n"
+       "        project [unsorted] {rows=3000 cost=6000}\n"
+       "          scan(hits) [unsorted] {rows=3000 cost=3000}\n",
+       "scan project in-stream-aggregate in-sort-distinct elided-sort limit",
+       0, 0, 1, 0, 2, 85710.008382305183},
       {"SELECT * FROM lineitem LIMIT 7",
        1, plan::CostPolicy::kRuleBased, false, 0,
        "limit(k=7) [unsorted] {rows=7 cost=2007}\n"
@@ -771,6 +848,80 @@ TEST_F(SqlExecTest, GoldenExplain) {
   }
   EXPECT_EQ(reached.size(),
             static_cast<size_t>(plan::PhysicalAlg::kMergeExchange) + 1);
+}
+
+// --- LIMIT pushdown ----------------------------------------------------------
+
+TEST_F(SqlExecTest, LimitReturnsThePrefixOfTheUnlimitedQuery) {
+  // A limit handed down to a sort or in-sort aggregate must not change the
+  // answer: under every knob setting, each LIMIT k query returns exactly
+  // the first k rows the same query returns without LIMIT -- ties on the
+  // ORDER BY key included (lineitem.qty and wide.c are row numbers, so a
+  // tie that came out in another order would show).
+  const char* const queries[] = {
+      "SELECT orderkey, qty FROM lineitem ORDER BY orderkey",
+      "SELECT visitor, site FROM hits ORDER BY visitor",
+      "SELECT visitor, site FROM hits ORDER BY site DESC, visitor",
+      "SELECT b, a, c FROM wide ORDER BY b DESC, a",
+      "SELECT site, COUNT(*) AS n FROM hits GROUP BY site ORDER BY site",
+      "SELECT site, day, COUNT(*) AS n, SUM(visitor) AS s, MIN(visitor) AS lo "
+      "FROM hits GROUP BY site, day ORDER BY site, day",
+      "SELECT DISTINCT site, day FROM hits ORDER BY site, day",
+      "SELECT DISTINCT visitor, day FROM hits ORDER BY visitor, day",
+      "SELECT site, COUNT(DISTINCT visitor) AS v FROM hits GROUP BY site "
+      "ORDER BY site",
+      "SELECT a, b FROM s1 INTERSECT SELECT a, b FROM s2",
+      "SELECT o.custkey, COUNT(*) AS n FROM orders o JOIN lineitem l "
+      "ON o.orderkey = l.orderkey GROUP BY o.custkey ORDER BY o.custkey",
+  };
+  struct Knobs {
+    uint32_t parallelism;
+    plan::CostPolicy policy;
+    uint64_t sort_memory_rows;  // 0: the default budget, nothing spills
+  };
+  const Knobs knobs[] = {
+      {1, plan::CostPolicy::kCostBased, 0},
+      {1, plan::CostPolicy::kRuleBased, 0},
+      {4, plan::CostPolicy::kCostBased, 0},
+      {4, plan::CostPolicy::kRuleBased, 0},
+      {1, plan::CostPolicy::kCostBased, 128},
+      {1, plan::CostPolicy::kRuleBased, 256},
+      {4, plan::CostPolicy::kCostBased, 256},
+      {4, plan::CostPolicy::kRuleBased, 128},
+  };
+  for (const Knobs& knob : knobs) {
+    plan::PlanExecutor::Options options = MakeOptions(knob.parallelism);
+    options.planner.cost_policy = knob.policy;
+    if (knob.sort_memory_rows != 0) {
+      options.planner.sort_config.memory_rows = knob.sort_memory_rows;
+      options.planner.sort_config.fan_in = 4;  // cascaded merges too
+    }
+    SqlSession session(&catalog_, options);
+    for (const char* query : queries) {
+      SCOPED_TRACE(std::string(query) + " @ parallelism " +
+                   std::to_string(knob.parallelism) + ", sort memory " +
+                   std::to_string(knob.sort_memory_rows) +
+                   (knob.policy == plan::CostPolicy::kRuleBased
+                        ? ", rule-based"
+                        : ""));
+      SqlResult<QueryResult> full = session.Run(query);
+      ASSERT_TRUE(full.ok()) << full.error().Render(query);
+      ASSERT_TRUE(full.value().result.ok())
+          << full.value().result.validation_error;
+      const RowVec all = ToRowVec(full.value().result.rows);
+      for (uint64_t k : {uint64_t{1}, uint64_t{7}, uint64_t{all.size() + 1}}) {
+        const std::string limited =
+            std::string(query) + " LIMIT " + std::to_string(k);
+        SqlResult<QueryResult> got = session.Run(limited);
+        ASSERT_TRUE(got.ok()) << got.error().Render(limited);
+        EXPECT_TRUE(got.value().result.ok())
+            << got.value().result.validation_error;
+        const RowVec want(all.begin(),
+                          all.begin() + std::min<size_t>(k, all.size()));
+        EXPECT_EQ(ToRowVec(got.value().result.rows), want) << "LIMIT " << k;
+      }
+    }
+  }
 }
 
 // --- Binder errors ---------------------------------------------------------

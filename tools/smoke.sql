@@ -2,8 +2,9 @@
 -- tools/sql_smoke.sh under several flag sets). Exercises table generation,
 -- EXPLAIN, and a few executed statements; the script greps the output for
 -- the planner shapes the SQL front end is supposed to surface: an elided
--- sort over a pre-sorted coded table, a merge join, and (at
--- --parallelism > 1) the exchange-parallel shapes.
+-- sort over a pre-sorted coded table, a merge join, top-k sorts and
+-- in-sort aggregates, and (at --parallelism > 1) the exchange-parallel
+-- shapes.
 .gen lineitem(orderkey,qty,price) rows=20000 keys=1 distinct=500 seed=1
 .gen orders(orderkey,custkey) rows=5000 keys=1 distinct=500 seed=2 sorted
 .gen events(site,day,visitor) rows=10000 keys=3 distinct=16 seed=3 sorted
@@ -32,6 +33,18 @@ EXPLAIN ANALYZE SELECT o.orderkey, COUNT(*) AS n, SUM(l.qty) AS total
 -- streamed over the coded result.
 SELECT site, COUNT(DISTINCT visitor) AS visitors
   FROM events GROUP BY site ORDER BY site LIMIT 5;
+
+-- Top-k over the unsorted lineitem table: the LIMIT travels down to the
+-- sort, the in-sort aggregate and the in-sort distinct (top=5 on their
+-- plan lines), which keep only the first 5 rows or groups.
+EXPLAIN SELECT orderkey, qty FROM lineitem ORDER BY orderkey, qty LIMIT 5;
+SELECT orderkey, qty FROM lineitem ORDER BY orderkey, qty LIMIT 5;
+EXPLAIN SELECT orderkey, COUNT(*) AS n FROM lineitem
+  GROUP BY orderkey ORDER BY orderkey LIMIT 5;
+SELECT orderkey, COUNT(*) AS n FROM lineitem
+  GROUP BY orderkey ORDER BY orderkey LIMIT 5;
+EXPLAIN SELECT DISTINCT orderkey FROM lineitem ORDER BY orderkey LIMIT 5;
+SELECT DISTINCT orderkey FROM lineitem ORDER BY orderkey LIMIT 5;
 
 -- Set operation over two generated tables.
 .gen t1(a,b) rows=5000 keys=2 distinct=64 seed=4

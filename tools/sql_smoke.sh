@@ -8,7 +8,9 @@
 #   --parallelism=4 --profile=FILE   exchange-parallel shapes, actuals, and
 #                                    a JSON profile per profiled statement
 #   low memory (64 hash rows, 256 sort rows), serial and rule-based
-#   parallel: graceful degradation still plans and runs everything
+#   parallel: graceful degradation still plans and runs everything, and
+#   each LIMIT over an unsorted table shows top= on its spilling sort,
+#   in-sort aggregate and in-sort distinct
 #   low memory + --fallback=partition --rule-based: recursive grace
 #   partitioning, including a build key that no hash split can bring
 #   under the budget
@@ -76,13 +78,26 @@ if ! python3 -c "import json, sys; [json.loads(l) for l in open(sys.argv[1])]" \
   failures=$((failures + 1))
 fi
 
+# expect_top NAME: the LIMIT 5 statements over the unsorted table handed
+# their limit down to the spilling sort, in-sort aggregate and in-sort
+# distinct (serial or per worker).
+expect_top() {
+  for shape in "sort\(top=5" "in-sort-aggregate\(group=1, top=5" \
+               "in-sort-distinct\(top=5\)"; do
+    expect "$1" "$shape"
+  done
+}
+
 LOW_MEMORY=(--hash-memory-rows=64 --sort-memory-rows=256)
 run lowmem "${LOW_MEMORY[@]}"
 expect lowmem "\{rows="
+expect_top lowmem
 run lowmem-parallel "${LOW_MEMORY[@]}" --rule-based --parallelism=4
 expect lowmem-parallel "\{rows="
+expect_top lowmem-parallel
 run partition "${LOW_MEMORY[@]}" --fallback=partition --rule-based
 expect partition "\{rows="
+expect_top partition
 
 if [[ $failures -gt 0 ]]; then
   echo "sql_smoke: $failures failure(s)"
