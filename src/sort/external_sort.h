@@ -152,9 +152,11 @@ Status MergeToRunFile(const Schema* schema, QueryCounters* counters,
 /// run holds k, the merges stop after k, and once a run was cut, intake
 /// drops each row that sorts after the smallest k-th key cut so far (one
 /// key comparison per row) -- a plain sort drops its ties too, since the
-/// cut run already holds k earlier rows of that key, while a collapsing
-/// sort keeps them, as they belong to the k-th group. The sort is stable,
-/// so the output is exactly the first k rows of the unlimited sort.
+/// cut run already holds k rows of that key that come first (batch run
+/// generation and the merges keep ties in input order), while a
+/// collapsing sort keeps them, as they belong to the k-th group. The
+/// output is exactly the first k rows of the unlimited sort. Replacement
+/// selection cuts only the merges.
 class ExternalSort {
  public:
   /// `schema`, `counters` (optional), `temp` and `merge_fns` must outlive

@@ -848,15 +848,15 @@ SortOutput RunLimitedSort(const Schema& schema, const LimitShape& shape,
   const std::vector<StateMergeFn> sum = {StateMergeFn::kSum};
   ExternalSort sort(&schema, counters, &temp, config,
                     shape.collapse ? &sum : nullptr, limit);
-  RowBlock one(schema.total_columns(), 1);
+  RowBlock in(schema.total_columns(), 100);
   for (size_t i = 0; i < table.size(); i += 100) {
     // Mix block intake with row-at-a-time intake.
     const size_t end = std::min(table.size(), i + 100);
     if ((i / 100) % 2 == 0) {
-      RowBlock block(schema.total_columns(), 100);
-      block.AppendContiguous(table.row(i), nullptr,
-                             static_cast<uint32_t>(end - i));
-      sort.AddBlock(block);
+      in.Clear();
+      in.AppendContiguous(table.row(i), nullptr,
+                          static_cast<uint32_t>(end - i));
+      sort.AddBlock(in);
     } else {
       for (size_t r = i; r < end; ++r) sort.Add(table.row(r));
     }
@@ -912,8 +912,9 @@ constexpr RunGenMode kStd = RunGenMode::kStdSort;
 
 // In memory and spilling (4000 rows over a 256-row budget: 16 runs, one
 // intermediate merge level at fan-in 4), ascending and mixed directions,
-// plain and collapsing, every run-generation mode, and inputs whose keys
-// repeat thousands of times (4 values per column, 3 columns: 64 keys).
+// plain and collapsing, every run-generation mode, and inputs where
+// thousands of rows tie the cutoff (2 values per column, 3 columns: 8 keys
+// of ~2000 rows each in 16000 rows over a 1024-row budget).
 const LimitShape kLimitShapes[] = {
     {"memory_asc", kAsc, 200, 256, 1000, false, kPq, false, true},
     {"spill_asc", kAsc, 4000, 256, 1000, false, kPq, false, true},
@@ -922,14 +923,15 @@ const LimitShape kLimitShapes[] = {
     {"spill_std", kAsc, 4000, 256, 1000, false, kStd, false, true},
     {"spill_plain", kMixed, 4000, 256, 1000, false, kPq, false, false},
     {"spill_replacement", kAsc, 4000, 256, 1000, false, kPq, true, true},
-    {"spill_ties", kAsc, 4000, 256, 4, false, kPq, false, true},
-    {"spill_ties_mixed", kMixed, 4000, 256, 4, false, kMini, false, true},
+    {"spill_ties", kAsc, 16000, 1024, 2, false, kPq, false, true},
+    {"spill_ties_mixed", kMixed, 16000, 1024, 2, false, kMini, false, true},
     {"memory_collapse", kAsc, 200, 256, 8, true, kPq, false, true},
     {"spill_collapse", kMixed, 4000, 256, 1000, true, kPq, false, true},
-    {"spill_collapse_ties", kAsc, 4000, 256, 4, true, kPq, false, true},
-    {"spill_collapse_ties_mixed", kMixed, 4000, 256, 4, true, kMini, false,
+    {"spill_collapse_ties", kAsc, 16000, 1024, 2, true, kPq, false, true},
+    {"spill_collapse_ties_mixed", kMixed, 16000, 1024, 2, true, kMini, false,
      true},
-    {"spill_collapse_ties_std", kAsc, 4000, 256, 4, true, kStd, false, true},
+    {"spill_collapse_ties_std", kAsc, 16000, 1024, 2, true, kStd, false,
+     true},
 };
 
 std::vector<LimitCase> LimitCases() {
@@ -977,13 +979,13 @@ TEST(LimitedSort, CollapsingSortKeepsTheKthGroupWhole) {
   // thousands of them tie the cutoff after the first cut run: each group's
   // count is its input row count.
   const Schema schema(2, 1);
-  RowBuffer table = MakeTable(schema, 6000, 3, /*seed=*/9);  // 9 groups
+  RowBuffer table = MakeTable(schema, 18000, 3, /*seed=*/9);  // 9 groups
   std::map<std::vector<uint64_t>, uint64_t> count;
   for (size_t i = 0; i < table.size(); ++i) {
     table.mutable_row(i)[2] = 1;
     ++count[{table.row(i)[0], table.row(i)[1]}];
   }
-  const LimitShape shape = {"groups", kAsc, 6000, 128, 3, true, kPq, false,
+  const LimitShape shape = {"groups", kAsc, 18000, 512, 3, true, kPq, false,
                             true};
   const SortOutput top = RunLimitedSort(schema, shape, table, 2, nullptr);
   ASSERT_EQ(top.rows.size(), 2u);
