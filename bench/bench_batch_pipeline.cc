@@ -7,12 +7,10 @@
 //    canonical ordered-stream filter, and the best case for span-wise
 //    compaction) and a predicate on an uncorrelated payload column (50%
 //    random keeps: branch-hostile worst case for every engine).
-//  * tree-of-losers merge with inputs pulled through the MergeSource vtable
-//    vs the concrete-source merger (OvcMergerT<InMemoryRunSource>) emitting
-//    block-sized output, both materializing their output identically. The
+//  * tree-of-losers merge over concrete sources
+//    (OvcMergerT<InMemoryRunSource>) emitting block-sized output. The
 //    duplicate-heavy shape exercises the Section 5 bypass, where the
-//    per-row work is mostly the source refill itself and devirtualizing it
-//    pays the most.
+//    per-row work is mostly the inlined source refill itself.
 //
 // The pipeline is built on the heap behind an opaque Operator* -- exactly
 // how PhysicalPlan hands an operator tree to PlanExecutor -- so it pays the
@@ -147,9 +145,8 @@ void ScanFilterLimit_PayloadFilter_Batched(benchmark::State& state) {
 }
 
 // ---------------------------------------------------------------------------
-// Merge: virtual MergeSource pulls vs the devirtualized concrete-source
-// merger. Both materialize output into RowBlocks so the only difference is
-// how the tournament refills (vtable vs inlined concrete Next).
+// Merge: the concrete-source merger materializing its output into
+// RowBlocks.
 // ---------------------------------------------------------------------------
 
 struct MergeShape {
@@ -191,34 +188,6 @@ MergeFixture& GetMergeFixture(uint32_t fan_in, int shape_index) {
   return *it->second;
 }
 
-void Merge_VirtualSources(benchmark::State& state) {
-  const uint32_t fan_in = static_cast<uint32_t>(state.range(0));
-  MergeFixture& f = GetMergeFixture(fan_in,
-                                    static_cast<int>(state.range(1)));
-  OvcCodec codec(&f.schema);
-  KeyComparator comparator(&f.schema, nullptr);
-  for (auto _ : state) {
-    std::vector<std::unique_ptr<InMemoryRunSource>> sources;
-    std::vector<MergeSource*> raw;
-    for (auto& run : f.runs) {
-      sources.push_back(std::make_unique<InMemoryRunSource>(run.get()));
-      raw.push_back(sources.back().get());
-    }
-    OvcMerger merger(&codec, &comparator, raw);
-    RowBlock block(f.schema.total_columns());
-    RowRef ref;
-    uint64_t n = 0;
-    while (merger.Next(&ref)) {
-      if (block.full()) block.Clear();
-      block.Append(ref.cols, ref.ovc);
-      ++n;
-    }
-    benchmark::DoNotOptimize(n);
-    benchmark::DoNotOptimize(block.size());
-  }
-  state.SetItemsProcessed(state.iterations() * kRows);
-}
-
 void Merge_DevirtualizedBlocks(benchmark::State& state) {
   const uint32_t fan_in = static_cast<uint32_t>(state.range(0));
   MergeFixture& f = GetMergeFixture(fan_in,
@@ -255,12 +224,6 @@ BENCHMARK(ScanFilterLimit_KeyFilter_Batched)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(ScanFilterLimit_PayloadFilter_Batched)
     ->Arg(1024)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(Merge_VirtualSources)
-    ->Args({8, 0})
-    ->Args({64, 0})
-    ->Args({8, 1})
-    ->Args({64, 1})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(Merge_DevirtualizedBlocks)
     ->Args({8, 0})

@@ -52,12 +52,12 @@ void OvcMerge(benchmark::State& state) {
   KeyComparator comparator(&fixture.schema, &counters);
   for (auto _ : state) {
     std::vector<std::unique_ptr<InMemoryRunSource>> sources;
-    std::vector<MergeSource*> raw;
+    std::vector<InMemoryRunSource*> raw;
     for (auto& run : fixture.runs) {
       sources.push_back(std::make_unique<InMemoryRunSource>(run.get()));
       raw.push_back(sources.back().get());
     }
-    OvcMerger merger(&codec, &comparator, raw);
+    OvcMergerT<InMemoryRunSource> merger(&codec, &comparator, raw);
     RowRef ref;
     uint64_t n = 0;
     while (merger.Next(&ref)) ++n;
@@ -79,12 +79,12 @@ void PlainMerge(benchmark::State& state) {
   KeyComparator comparator(&fixture.schema, &counters);
   for (auto _ : state) {
     std::vector<std::unique_ptr<InMemoryRunSource>> sources;
-    std::vector<MergeSource*> raw;
+    std::vector<InMemoryRunSource*> raw;
     for (auto& run : fixture.runs) {
       sources.push_back(std::make_unique<InMemoryRunSource>(run.get()));
       raw.push_back(sources.back().get());
     }
-    PlainMerger merger(&codec, &comparator, raw);
+    PlainMergerT<InMemoryRunSource> merger(&codec, &comparator, raw);
     RowRef ref;
     uint64_t n = 0;
     while (merger.Next(&ref)) ++n;

@@ -3,7 +3,6 @@
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "exec/hash_join.h"  // HashKeyPrefix
-#include "pq/plain_loser_tree.h"
 
 namespace ovc {
 
@@ -232,41 +231,51 @@ void BoundedBatchQueue::Cancel() {
   not_empty_.NotifyAll();
 }
 
-/// MergeSource fed by a producer thread's batch queue.
-///
-/// Row lifetime (see exec/operator.h): popping the next batch frees the
-/// previous one, so a row pointer handed out here dies on the very next
-/// Next() call that crosses a batch boundary. Consumers that keep a row
-/// (the merge's loser tree keeps one candidate per input between pulls;
-/// anything downstream of the exchange) must copy before pulling again.
-class MergeExchange::QueueMergeSource : public MergeSource {
- public:
-  explicit QueueMergeSource(BoundedBatchQueue* queue) : queue_(queue) {}
+namespace {
 
-  bool Next(const uint64_t** row, Ovc* code) override {
-    while (true) {
-      if (batch_ != nullptr && pos_ < batch_->size()) {
-        *row = batch_->row(pos_);
-        *code = batch_->code(pos_);
-        ++pos_;
-        return true;
-      }
-      if (done_) return false;
+/// Operator view of one producer's batch queue. Serves each popped batch
+/// zero-copy, as RunScan serves an InMemoryRun (a RowBatch is one), in spans
+/// of at most the caller's block capacity. Row lifetime (exec/operator.h):
+/// a batch stays alive until the next NextBatch()/Close() -- the pull that
+/// pops the next batch frees it.
+class QueueStream : public Operator {
+ public:
+  QueueStream(BoundedBatchQueue* queue, const Schema* schema)
+      : queue_(queue), schema_(schema) {}
+
+  void Open() override {}
+  uint32_t NextBatch(RowBlock* out) override {
+    out->Clear();
+    while (batch_ == nullptr || pos_ == batch_->size()) {
+      if (done_) return 0;
       batch_ = queue_->Pop();  // frees the previous batch and its rows
       pos_ = 0;
       if (batch_ == nullptr) {
         done_ = true;
-        return false;
+        return 0;
       }
     }
+    const size_t avail = batch_->size() - pos_;
+    const uint32_t n = static_cast<uint32_t>(
+        avail < out->capacity() ? avail : out->capacity());
+    out->RefContiguous(batch_->row(pos_), batch_->codes() + pos_, n);
+    pos_ += n;
+    return n;
   }
+  void Close() override { batch_.reset(); }
+  const Schema& schema() const override { return *schema_; }
+  bool sorted() const override { return true; }
+  bool has_ovc() const override { return true; }
 
  private:
   BoundedBatchQueue* queue_;
+  const Schema* schema_;
   std::unique_ptr<RowBatch> batch_;
   size_t pos_ = 0;
   bool done_ = false;
 };
+
+}  // namespace
 
 MergeExchange::MergeExchange(std::vector<Operator*> inputs,
                              QueryCounters* counters, Options options)
@@ -282,18 +291,18 @@ MergeExchange::MergeExchange(std::vector<Operator*> inputs,
   }
 }
 
-// Full ResetState, not just StopThreads: destruction after Open() without
-// Close() must still balance inline-opened inputs' lifecycles (threaded
+// Full ResetState: destruction after Open() without Close() must still
+// join the producers and balance inline-opened inputs' lifecycles (threaded
 // producers close their own input when the queues are cancelled).
 MergeExchange::~MergeExchange() { ResetState(); }
 
 void MergeExchange::Open() {
   // Re-entrant: a second Open() -- after Close(), or even without one --
-  // must not stack fresh queues/producers/sources onto leftover state.
+  // must not stack fresh queues/producers/readers onto leftover state.
   ResetState();
-  std::vector<MergeSource*> raw_sources;
-  if (options_.threaded) {
-    for (Operator* in : inputs_) {
+  for (Operator* in : inputs_) {
+    Operator* source = in;
+    if (options_.threaded) {
       queues_.push_back(
           std::make_unique<BoundedBatchQueue>(options_.queue_batches));
       BoundedBatchQueue* queue = queues_.back().get();
@@ -331,23 +340,21 @@ void MergeExchange::Open() {
         in->Close();
         running.Sub(1);
       });
-      sources_.push_back(std::make_unique<QueueMergeSource>(queue));
-      raw_sources.push_back(sources_.back().get());
+      queue_streams_.push_back(
+          std::make_unique<QueueStream>(queue, &in->schema()));
+      source = queue_streams_.back().get();
     }
-  } else {
-    for (Operator* in : inputs_) {
-      auto reader = std::make_unique<BlockReader>(in);
-      reader->Open();
-      raw_sources.push_back(reader.get());
-      sources_.push_back(std::move(reader));
-    }
-    inline_inputs_open_ = true;
+    readers_.push_back(std::make_unique<BlockReader>(source));
+    readers_.back()->Open();
   }
+  std::vector<BlockReader*> sources;
+  for (const auto& reader : readers_) sources.push_back(reader.get());
   if (options_.use_ovc) {
-    merger_ = std::make_unique<OvcMerger>(&codec_, &comparator_, raw_sources);
+    merger_ = std::make_unique<OvcMergerT<BlockReader>>(&codec_, &comparator_,
+                                                        sources);
   } else {
-    plain_merger_ = std::make_unique<PlainMerger>(&codec_, &comparator_,
-                                                  raw_sources);
+    plain_merger_ = std::make_unique<PlainMergerT<BlockReader>>(
+        &codec_, &comparator_, sources);
   }
 }
 
@@ -364,7 +371,7 @@ uint32_t MergeExchange::NextBatch(RowBlock* out) {
   return out->size();
 }
 
-void MergeExchange::StopThreads() {
+void MergeExchange::ResetState() {
   for (auto& queue : queues_) {
     queue->Cancel();
   }
@@ -372,22 +379,17 @@ void MergeExchange::StopThreads() {
     if (t.joinable()) t.join();
   }
   producers_.clear();
-  queues_.clear();
-}
-
-void MergeExchange::ResetState() {
-  StopThreads();
   merger_.reset();
   plain_merger_.reset();
-  sources_.clear();
   // Threaded producers close their own input at thread exit (normal or
-  // cancelled); inline mode opened the inputs on this thread, so balance
-  // those opens here -- also on the Open()-without-Close() path, where a
-  // leaked open would break the re-open contract.
-  if (inline_inputs_open_) {
-    for (Operator* in : inputs_) in->Close();
-    inline_inputs_open_ = false;
-  }
+  // cancelled), so a reader there only closes its queue stream; inline
+  // mode opened the inputs on this thread, and closing its readers
+  // balances those opens -- also on the Open()-without-Close() path, where
+  // a leaked open would break the re-open contract.
+  for (auto& reader : readers_) reader->Close();
+  readers_.clear();
+  queue_streams_.clear();
+  queues_.clear();
 }
 
 void MergeExchange::Close() { ResetState(); }

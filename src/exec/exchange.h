@@ -13,6 +13,9 @@
 // exploits the input codes and produces output codes. Producer threads
 // drive the inputs and hand whole row batches to the consumer through
 // bounded queues; a single-threaded mode serves deterministic benchmarks.
+// Both modes merge the same way: a BlockReader per input -- over the input
+// itself, or over an operator serving that input's queue -- feeds one
+// OvcMergerT<BlockReader>.
 //
 // Many-to-many shuffle is deliberately not provided (the paper: "usually
 // not recommended due to its danger ... of deadlock"); compose a merging
@@ -32,6 +35,7 @@
 #include "common/thread_annotations.h"
 #include "core/accumulator.h"
 #include "exec/operator.h"
+#include "pq/loser_tree.h"
 #include "pq/plain_loser_tree.h"
 #include "row/row_block.h"
 #include "sort/run.h"
@@ -234,11 +238,9 @@ class MergeExchange : public Operator {
   bool has_ovc() const override { return options_.use_ovc; }
 
  private:
-  class QueueMergeSource;
-
-  void StopThreads();
   /// Returns the exchange to its pre-Open state (joins producer threads,
-  /// drops mergers/sources/queues). Safe to call in any state.
+  /// closes the readers, drops mergers/readers/queues). Safe to call in any
+  /// state.
   void ResetState();
 
   std::vector<Operator*> inputs_;
@@ -249,12 +251,14 @@ class MergeExchange : public Operator {
 
   std::vector<std::unique_ptr<BoundedBatchQueue>> queues_;
   std::vector<std::thread> producers_;
-  std::vector<std::unique_ptr<MergeSource>> sources_;
-  std::unique_ptr<OvcMerger> merger_;
-  std::unique_ptr<PlainMerger> plain_merger_;
-  /// True while inline (non-threaded) mode holds its inputs open; they are
-  /// closed by ResetState (Close, or a re-entrant Open).
-  bool inline_inputs_open_ = false;
+  /// Threaded mode: one operator per queue, serving its batches.
+  std::vector<std::unique_ptr<Operator>> queue_streams_;
+  /// One open reader per input, over the input (inline mode) or over its
+  /// queue stream (threaded mode); closed by ResetState (Close, or a
+  /// re-entrant Open), which balances inline mode's input opens.
+  std::vector<std::unique_ptr<BlockReader>> readers_;
+  std::unique_ptr<OvcMergerT<BlockReader>> merger_;
+  std::unique_ptr<PlainMergerT<BlockReader>> plain_merger_;
 };
 
 }  // namespace ovc

@@ -28,7 +28,6 @@
 
 #include "core/ovc.h"
 #include "core/row_ref.h"
-#include "pq/loser_tree.h"
 #include "row/row_block.h"
 #include "row/row_buffer.h"
 #include "row/schema.h"
@@ -99,8 +98,9 @@ inline uint32_t ServeRows(const RowBuffer& rows, size_t* pos, RowBlock* out) {
 /// statement) holds no block. A row stays valid until the Next() call that
 /// refills the block, so -- exactly as for the input's blocks -- a consumer
 /// that keeps a row past its next pull must copy it. Also serves as the
-/// MergeSource the mergers pull operator inputs through.
-class BlockReader final : public MergeSource {
+/// merge input (a `Source` of OvcMergerT) through which the mergers pull
+/// operator streams.
+class BlockReader {
  public:
   /// `input` must outlive the reader.
   explicit BlockReader(Operator* input) : input_(input) {}
@@ -124,7 +124,7 @@ class BlockReader final : public MergeSource {
   /// The next row of the stream; false at end of stream.
   bool Next(RowRef* out) { return Next(&out->cols, &out->ovc); }
 
-  bool Next(const uint64_t** row, Ovc* code) override {
+  bool Next(const uint64_t** row, Ovc* code) {
     OVC_DCHECK(block_ != nullptr);
     if (pos_ == block_->size()) {
       if (done_) return false;

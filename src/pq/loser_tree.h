@@ -8,12 +8,13 @@
 // decide most comparisons with a single integer compare.
 //
 // Two classes:
-//  * OvcMerger merges F sorted inputs that carry offset-value codes and
+//  * OvcMergerT merges F sorted inputs that carry offset-value codes and
 //    produces a sorted output stream with correct codes -- the codes emitted
 //    are the winners' codes, which are relative to the previous overall
 //    winner, i.e. the previous output row. This is the merge step of
 //    external sort, the merging exchange, LSM compaction, and the model for
-//    merge join.
+//    merge join. It is a template over its concrete input type, so every
+//    instantiation inlines the per-row refill into the tournament loop.
 //  * PqSorter sorts an in-memory batch by merging N single-row runs
 //    ("run generation merges 'sorted' runs of a single row each"): queue
 //    build-up and tear-down only, near-optimal comparison counts, and the
@@ -39,28 +40,15 @@
 
 namespace ovc {
 
-/// Pull interface for one sorted, offset-value-coded merge input.
-class MergeSource {
- public:
-  virtual ~MergeSource() = default;
-
-  /// Produces the next row and its code relative to this input's previous
-  /// row (the input's first row must be coded at offset 0, i.e. relative to
-  /// minus infinity). Returns false at end of input. The returned pointer
-  /// must stay valid until the next call on this source.
-  virtual bool Next(const uint64_t** row, Ovc* code) = 0;
-};
-
 /// Merges F sorted OVC streams into one sorted OVC stream.
 ///
-/// `Source` is the concrete input type; it only needs
-/// `bool Next(const uint64_t**, Ovc*)`. With `Source = MergeSource` (the
-/// `OvcMerger` alias below) inputs are pulled through a virtual call, which
-/// is what the merging exchange's heterogeneous inputs need. Instantiated
-/// over a `final` concrete source (InMemoryRunSource, RunFileReader) the
-/// compiler devirtualizes and inlines the per-row refill into the tournament
-/// loop -- the hot path of every external-sort merge -- so the inner loop
-/// carries no indirect calls at all.
+/// `Source` is the concrete input type (InMemoryRunSource, RunFileReader,
+/// BlockReader). It only needs `bool Next(const uint64_t** row, Ovc* code)`:
+/// the next row and its code relative to that input's previous row (the
+/// input's first row coded at offset 0), false at end of input; the row
+/// must stay valid until the next call on that source. The per-row refill
+/// inlines into the tournament loop -- the hot path of every merge -- so the
+/// inner loop carries no indirect calls at all.
 template <typename Source>
 class OvcMergerT {
  public:
@@ -217,9 +205,6 @@ class OvcMergerT {
   Entry winner_{OvcCodec::LateFence(), 0};
   bool started_ = false;
 };
-
-/// The polymorphic merger: inputs pulled through the MergeSource vtable.
-using OvcMerger = OvcMergerT<MergeSource>;
 
 /// Sorts a batch of rows by building a tree of single-row runs and tearing
 /// it down. Produces output codes as a byproduct of the sort.

@@ -1,119 +1,8 @@
 #include "pq/plain_loser_tree.h"
 
-#include <cstring>
-
 #include "common/bits.h"
-#include "core/ovc_reference.h"
 
 namespace ovc {
-
-PlainMerger::PlainMerger(const OvcCodec* codec, const KeyComparator* comparator,
-                         std::vector<MergeSource*> sources, Options options)
-    : codec_(codec),
-      comparator_(comparator),
-      sources_(std::move(sources)),
-      options_(options) {
-  OVC_CHECK(!sources_.empty());
-  capacity_ = CeilToPowerOfTwo(static_cast<uint32_t>(sources_.size()));
-  nodes_.assign(capacity_, Entry{0, true});
-  rows_.assign(capacity_, nullptr);
-  prev_row_.assign(codec_->schema().total_columns(), 0);
-}
-
-PlainMerger::Entry PlainMerger::LeafEntry(uint32_t slot) {
-  if (slot >= sources_.size()) {
-    return Entry{slot, true};
-  }
-  return FetchSuccessor(slot);
-}
-
-PlainMerger::Entry PlainMerger::FetchSuccessor(uint32_t slot) {
-  const uint64_t* row = nullptr;
-  Ovc code = 0;
-  if (!sources_[slot]->Next(&row, &code)) {
-    rows_[slot] = nullptr;
-    return Entry{slot, true};
-  }
-  rows_[slot] = row;
-  return Entry{slot, false};
-}
-
-PlainMerger::Entry PlainMerger::PlayMatch(uint32_t node, Entry a, Entry b) {
-  Entry winner, loser;
-  if (a.exhausted || b.exhausted) {
-    // No key comparison needed against an exhausted input.
-    if (a.exhausted && b.exhausted) {
-      winner = a.slot < b.slot ? a : b;
-      loser = a.slot < b.slot ? b : a;
-    } else if (a.exhausted) {
-      winner = b;
-      loser = a;
-    } else {
-      winner = a;
-      loser = b;
-    }
-  } else {
-    const int cmp = comparator_->Compare(rows_[a.slot], rows_[b.slot]);
-    if (cmp < 0 || (cmp == 0 && a.slot < b.slot)) {
-      winner = a;
-      loser = b;
-    } else {
-      winner = b;
-      loser = a;
-    }
-  }
-  nodes_[node] = loser;
-  return winner;
-}
-
-PlainMerger::Entry PlainMerger::BuildWinner(uint32_t node) {
-  if (node >= capacity_) {
-    return LeafEntry(node - capacity_);
-  }
-  Entry a = BuildWinner(2 * node);
-  Entry b = BuildWinner(2 * node + 1);
-  return PlayMatch(node, a, b);
-}
-
-bool PlainMerger::Next(RowRef* out) {
-  if (!started_) {
-    started_ = true;
-    if (capacity_ == 1) {
-      winner_ = LeafEntry(0);
-    } else {
-      winner_ = BuildWinner(1);
-    }
-  } else {
-    Entry cand = FetchSuccessor(winner_.slot);
-    uint32_t node = (capacity_ + winner_.slot) >> 1;
-    while (node >= 1) {
-      cand = PlayMatch(node, cand, nodes_[node]);
-      node >>= 1;
-    }
-    winner_ = cand;
-  }
-  if (winner_.exhausted) {
-    return false;
-  }
-  const uint64_t* row = rows_[winner_.slot];
-  out->cols = row;
-  out->ovc = 0;
-  if (options_.derive_output_codes) {
-    // The naive method: one more full comparison per output row.
-    out->ovc = has_prev_ ? reference::AscendingOvc(*codec_, prev_row_.data(),
-                                                   row)
-                         : codec_->MakeInitial(row);
-    std::memcpy(prev_row_.data(), row,
-                codec_->schema().total_columns() * sizeof(uint64_t));
-    has_prev_ = true;
-    if (comparator_->counters() != nullptr) {
-      comparator_->counters()->column_comparisons +=
-          codec_->OffsetOf(out->ovc) + (codec_->IsDuplicate(out->ovc) ? 0 : 1);
-      ++comparator_->counters()->row_comparisons;
-    }
-  }
-  return true;
-}
 
 PlainPqSorter::PlainPqSorter(const OvcCodec* codec,
                              const KeyComparator* comparator)
@@ -124,37 +13,18 @@ void PlainPqSorter::Reset(const uint64_t* const* rows, uint32_t count) {
   count_ = count;
   capacity_ = CeilToPowerOfTwo(count == 0 ? 1 : count);
   nodes_.assign(capacity_, Entry{0, true});
-  done_.assign(count, false);
   started_ = false;
   winner_ = Entry{0, true};
 }
 
 PlainPqSorter::Entry PlainPqSorter::PlayMatch(uint32_t node, Entry a,
                                               Entry b) {
-  Entry winner, loser;
-  if (a.exhausted || b.exhausted) {
-    if (a.exhausted && b.exhausted) {
-      winner = a.slot < b.slot ? a : b;
-      loser = a.slot < b.slot ? b : a;
-    } else if (a.exhausted) {
-      winner = b;
-      loser = a;
-    } else {
-      winner = a;
-      loser = b;
-    }
-  } else {
-    const int cmp = comparator_->Compare(rows_[a.slot], rows_[b.slot]);
-    if (cmp < 0 || (cmp == 0 && a.slot < b.slot)) {
-      winner = a;
-      loser = b;
-    } else {
-      winner = b;
-      loser = a;
-    }
-  }
-  nodes_[node] = loser;
-  return winner;
+  // Padding slots lie past the end of rows_: read a row only when live.
+  const bool a_wins = PlainLeftWins(
+      *comparator_, a.exhausted ? nullptr : rows_[a.slot], a.slot,
+      a.exhausted, b.exhausted ? nullptr : rows_[b.slot], b.slot, b.exhausted);
+  nodes_[node] = a_wins ? b : a;
+  return a_wins ? a : b;
 }
 
 PlainPqSorter::Entry PlainPqSorter::BuildWinner(uint32_t node) {

@@ -98,11 +98,10 @@ Status RunFileMerge::Open(const std::vector<SpilledRun>& runs) {
     merger_ = std::make_unique<OvcMergerT<RunFileReader>>(
         &codec_, &comparator_, sources, options);
   } else {
-    std::vector<MergeSource*> plain_sources(sources.begin(), sources.end());
-    PlainMerger::Options options;
+    PlainMergerT<RunFileReader>::Options options;
     options.derive_output_codes = config_.naive_output_codes;
-    plain_merger_ = std::make_unique<PlainMerger>(&codec_, &comparator_,
-                                                  plain_sources, options);
+    plain_merger_ = std::make_unique<PlainMergerT<RunFileReader>>(
+        &codec_, &comparator_, sources, options);
   }
   if (merge_fns_ != nullptr) {
     collapser_ =

@@ -115,11 +115,9 @@ class RunFileMerge {
   const std::vector<StateMergeFn>* merge_fns_;
   RunCut cut_;
   std::vector<std::unique_ptr<RunFileReader>> readers_;
-  // Exactly one merger serves a non-empty stream. The OVC merge runs over
-  // concrete RunFileReader sources so the tournament's refill calls
-  // devirtualize (see pq/loser_tree.h).
+  // Exactly one merger serves a non-empty stream.
   std::unique_ptr<OvcMergerT<RunFileReader>> merger_;
-  std::unique_ptr<PlainMerger> plain_merger_;
+  std::unique_ptr<PlainMergerT<RunFileReader>> plain_merger_;
   BlockSink block_sink_;
   std::unique_ptr<CollapsingSink> collapser_;  // NextBlock with collapse
 };

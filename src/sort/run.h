@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/ovc.h"
-#include "pq/loser_tree.h"
 #include "row/row_block.h"
 #include "row/row_buffer.h"
 
@@ -60,14 +59,14 @@ class InMemoryRun {
   std::vector<Ovc> codes_;
 };
 
-/// MergeSource view over an InMemoryRun. The run must outlive the source.
-/// `final` so that OvcMergerT<InMemoryRunSource> devirtualizes Next() in the
-/// merge inner loop.
-class InMemoryRunSource final : public MergeSource {
+/// Merge-input view over an InMemoryRun (a `Source` of OvcMergerT). The run
+/// must outlive the source.
+class InMemoryRunSource {
  public:
   explicit InMemoryRunSource(const InMemoryRun* run) : run_(run) {}
 
-  bool Next(const uint64_t** row, Ovc* code) override {
+  /// Next row + its code relative to the previous row; false at the end.
+  bool Next(const uint64_t** row, Ovc* code) {
     if (pos_ >= run_->size()) return false;
     *row = run_->row(pos_);
     *code = run_->code(pos_);

@@ -20,7 +20,6 @@
 #include "common/counters.h"
 #include "common/temp_file.h"
 #include "core/ovc.h"
-#include "pq/loser_tree.h"
 #include "row/schema.h"
 
 namespace ovc {
@@ -56,11 +55,10 @@ class RunFileWriter {
   uint64_t retries_folded_ = 0;
 };
 
-/// Reads a prefix-truncated run file back as a MergeSource: rows come out
-/// with their offset-value codes, at zero column-comparison cost. `final`
-/// so that OvcMergerT<RunFileReader> devirtualizes Next() in external
-/// sort's merge inner loop.
-class RunFileReader final : public MergeSource {
+/// Reads a prefix-truncated run file back as a merge input (a `Source` of
+/// OvcMergerT): rows come out with their offset-value codes, at zero
+/// column-comparison cost.
+class RunFileReader {
  public:
   /// `error_sink` wires mid-run I/O errors into the degrade contract
   /// (docs/ROBUSTNESS.md): a failed or short read is recorded as the
@@ -77,9 +75,9 @@ class RunFileReader final : public MergeSource {
   /// Opens `path` for reading.
   Status Open(const std::string& path);
 
-  /// MergeSource: next row + code. On a mid-run I/O error, records the
-  /// error in `error_sink` and reports end-of-stream (see constructor).
-  bool Next(const uint64_t** row, Ovc* code) override;
+  /// Next row + code. On a mid-run I/O error, records the error in
+  /// `error_sink` and reports end-of-stream (see constructor).
+  bool Next(const uint64_t** row, Ovc* code);
 
  private:
   /// Records `status` (non-OK) and ends the stream; aborts when no sink

@@ -119,16 +119,15 @@ void BatchSorter::SortPqMini(const std::vector<const uint64_t*>& rows,
     sources.push_back(source_storage.back().get());
   }
   if (use_ovc_) {
-    // Concrete-source merger: the refill calls devirtualize (loser_tree.h).
     OvcMergerT<InMemoryRunSource> merger(&codec_, &comparator_, sources);
     PopInto(
         cut, [&](RowRef* ref) { return merger.Next(ref); },
         [&](const RowRef& ref) { sink->Accept(ref.cols, ref.ovc); });
   } else {
-    std::vector<MergeSource*> plain_sources(sources.begin(), sources.end());
-    PlainMerger::Options options;
+    PlainMergerT<InMemoryRunSource>::Options options;
     options.derive_output_codes = naive_codes_;
-    PlainMerger merger(&codec_, &comparator_, plain_sources, options);
+    PlainMergerT<InMemoryRunSource> merger(&codec_, &comparator_, sources,
+                                           options);
     PopInto(
         cut, [&](RowRef* ref) { return merger.Next(ref); },
         [&](const RowRef& ref) {

@@ -28,6 +28,7 @@
 #include "common/counters.h"
 #include "common/temp_file.h"
 #include "core/ovc.h"
+#include "row/comparator.h"
 #include "row/row_buffer.h"
 #include "sort/run_file.h"
 

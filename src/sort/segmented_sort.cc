@@ -31,7 +31,7 @@ SegmentedSorter::SegmentedSorter(const Schema* schema, uint32_t segment_prefix,
   sorter_ = std::make_unique<PqSorter>(&suffix_codec_, &suffix_comparator_);
 }
 
-void SegmentedSorter::SetInput(MergeSource* input) { input_ = input; }
+void SegmentedSorter::SetInput(InMemoryRunSource* input) { input_ = input; }
 
 bool SegmentedSorter::LoadSegment() {
   segment_.Clear();

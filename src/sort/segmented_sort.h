@@ -25,6 +25,7 @@
 #include "core/row_ref.h"
 #include "pq/loser_tree.h"
 #include "row/row_buffer.h"
+#include "sort/run.h"
 
 namespace ovc {
 
@@ -43,7 +44,7 @@ class SegmentedSorter {
                   QueryCounters* counters);
 
   /// `input` yields rows with codes valid for the segmentation prefix.
-  void SetInput(MergeSource* input);
+  void SetInput(InMemoryRunSource* input);
 
   /// Next output row in (A, C) order with its code.
   bool Next(RowRef* out);
@@ -60,7 +61,7 @@ class SegmentedSorter {
   Schema suffix_schema_;
   OvcCodec suffix_codec_;
   KeyComparator suffix_comparator_;
-  MergeSource* input_ = nullptr;
+  InMemoryRunSource* input_ = nullptr;
 
   RowBuffer segment_;
   std::vector<const uint64_t*> shifted_;  // segment rows, +segment_prefix

@@ -23,8 +23,6 @@
 #include "exec/in_sort_aggregate.h"
 #include "exec/limit.h"
 #include "exec/merge_join.h"
-#include "exec/nested_loops_join.h"
-#include "exec/pivot.h"
 #include "exec/profiled_operator.h"
 #include "exec/project.h"
 #include "exec/scan.h"
@@ -34,7 +32,6 @@
 #include "storage/btree.h"
 #include "storage/column_store.h"
 #include "storage/lsm.h"
-#include "storage/rid_index.h"
 #include "tests/test_util.h"
 
 namespace ovc {
@@ -159,14 +156,13 @@ struct Inputs {
         run_a(RunFromSorted(s20, keys_a)),
         run_b(RunFromSorted(s20, keys_b)),
         run_left(RunFromSorted(s21, join_left)),
-        run_right(RunFromSorted(s21, join_right)),
-        run_sparse(RunFromSorted(s21, sparse)) {}
+        run_right(RunFromSorted(s21, join_right)) {}
 
   Schema s21, s31, s20;
   RowBuffer unsorted, sorted, sorted31, keys_a, keys_b;
   /// Join inputs; `sparse` misses some of the left side's join keys.
   RowBuffer join_left, join_right, join_build, sparse;
-  InMemoryRun run, run31, run_a, run_b, run_left, run_right, run_sparse;
+  InMemoryRun run, run31, run_a, run_b, run_left, run_right;
 };
 
 const Inputs& In() {
@@ -209,15 +205,6 @@ ParityCase SetOpCase(const char* name, SetOpType type, bool all) {
             return t->Make<SetOperation>(Scan(t, In().s20, In().run_a),
                                          Scan(t, In().s20, In().run_b), type,
                                          all, &t->counters);
-          }};
-}
-
-ParityCase NljCase(const char* name, JoinTypeNlj type) {
-  return {name, [type](Tree* t) {
-            LookupSource* inner = t->Make<RunLookupSource>(
-                &In().s21, &In().run_sparse, 1, &t->counters);
-            return t->Make<NestedLoopsJoin>(Scan(t, In().s21, In().run_left),
-                                            inner, type, &t->counters);
           }};
 }
 
@@ -391,10 +378,6 @@ std::vector<ParityCase> ParityCases() {
       HashAggCase("hash_aggregate_partitioned", 4, FallbackPolicy::kPartition),
       HashAggCase("hash_aggregate_sort_fallback", 4,
                   FallbackPolicy::kSortMerge),
-      NljCase("nlj_inner", JoinTypeNlj::kInner),
-      NljCase("nlj_left_outer", JoinTypeNlj::kLeftOuter),
-      NljCase("nlj_left_semi", JoinTypeNlj::kLeftSemi),
-      NljCase("nlj_left_anti", JoinTypeNlj::kLeftAnti),
       {"dedup",
        [](Tree* t) {
          return t->Make<DedupOperator>(Scan(t, In().s20, In().run_a));
@@ -411,39 +394,12 @@ std::vector<ParityCase> ParityCases() {
                 FallbackPolicy::kSortMerge),
       GraceCase("grace_semi_join_sort_fallback", JoinTypeHash::kLeftSemi, 30,
                 FallbackPolicy::kSortMerge),
-      {"pivot",
-       [](Tree* t) {
-         return t->Make<PivotOperator>(Scan(t, In().s31, In().run31), 1, 1, 3,
-                                       std::vector<uint64_t>{0, 1, 2, 3});
-       }},
       MergeJoinCase(JoinType::kInner),
       MergeJoinCase(JoinType::kLeftOuter),
       MergeJoinCase(JoinType::kFullOuter),
       MergeJoinCase(JoinType::kLeftSemi),
       MergeJoinCase(JoinType::kRightSemi),
       MergeJoinCase(JoinType::kRightAnti),
-      {"rid_list_scan",
-       [](Tree* t) {
-         RidIndex* index = t->Make<RidIndex>();
-         index->Build(In().unsorted, 0);
-         return t->Own(index->Lookup(2));
-       }},
-      {"rid_merge_scan",
-       [](Tree* t) {
-         RidIndex* index = t->Make<RidIndex>();
-         index->Build(In().unsorted, 0);
-         return t->Own(index->RangeScan(1, 3, &t->counters));
-       }},
-      {"rid_intersect",
-       [](Tree* t) {
-         RidIndex* index = t->Make<RidIndex>();
-         index->Build(In().unsorted, 0);
-         RidIndex* other = t->Make<RidIndex>();
-         other->Build(In().unsorted, 1);
-         Operator* a = t->Own(index->RangeScan(0, 2, &t->counters));
-         Operator* b = t->Own(other->MultiLookup({1, 4}, &t->counters));
-         return t->Own(IntersectRidStreams(a, b, &t->counters));
-       }},
       {"lsm_forest_scan",
        [](Tree* t) {
          LsmForest::Options options;
@@ -604,7 +560,7 @@ TEST(NextBatch, BlockPredicateMayMarkSurvivorsOnly) {
   }
 }
 
-TEST(OvcMergerBlocks, DevirtualizedMergerMatchesVirtualMerger) {
+TEST(OvcMergerBlocks, NextBlockMatchesRowNext) {
   Schema schema(2, 0);
   OvcCodec codec(&schema);
   KeyComparator comparator(&schema, nullptr);
@@ -619,46 +575,46 @@ TEST(OvcMergerBlocks, DevirtualizedMergerMatchesVirtualMerger) {
   for (auto& t : tables) {
     runs.push_back(std::make_unique<InMemoryRun>(RunFromSorted(schema, t)));
   }
+  auto make_sources = [&runs](std::vector<InMemoryRunSource>* storage) {
+    for (auto& run : runs) storage->emplace_back(run.get());
+    std::vector<InMemoryRunSource*> sources;
+    for (auto& source : *storage) sources.push_back(&source);
+    return sources;
+  };
 
-  // Virtual merger, row at a time.
-  std::vector<InMemoryRunSource> va{InMemoryRunSource(runs[0].get()),
-                                    InMemoryRunSource(runs[1].get()),
-                                    InMemoryRunSource(runs[2].get()),
-                                    InMemoryRunSource(runs[3].get())};
-  std::vector<MergeSource*> vsources{&va[0], &va[1], &va[2], &va[3]};
-  OvcMerger virtual_merger(&codec, &comparator, vsources);
-  RowVec rows_virtual;
-  std::vector<Ovc> codes_virtual;
+  // Row at a time.
+  std::vector<InMemoryRunSource> row_storage;
+  OvcMergerT<InMemoryRunSource> row_merger(&codec, &comparator,
+                                           make_sources(&row_storage));
+  RowVec rows_by_row;
+  std::vector<Ovc> codes_by_row;
   RowRef ref;
-  while (virtual_merger.Next(&ref)) {
-    rows_virtual.emplace_back(ref.cols, ref.cols + schema.total_columns());
-    codes_virtual.push_back(ref.ovc);
+  while (row_merger.Next(&ref)) {
+    rows_by_row.emplace_back(ref.cols, ref.cols + schema.total_columns());
+    codes_by_row.push_back(ref.ovc);
   }
 
-  // Devirtualized merger, block-sized output with an odd block size.
-  std::vector<InMemoryRunSource> da{InMemoryRunSource(runs[0].get()),
-                                    InMemoryRunSource(runs[1].get()),
-                                    InMemoryRunSource(runs[2].get()),
-                                    InMemoryRunSource(runs[3].get())};
-  std::vector<InMemoryRunSource*> dsources{&da[0], &da[1], &da[2], &da[3]};
-  OvcMergerT<InMemoryRunSource> devirt_merger(&codec, &comparator, dsources);
+  // Block-sized output with an odd block size.
+  std::vector<InMemoryRunSource> block_storage;
+  OvcMergerT<InMemoryRunSource> block_merger(&codec, &comparator,
+                                             make_sources(&block_storage));
   OvcStreamChecker checker(&schema);
-  RowVec rows_devirt;
-  std::vector<Ovc> codes_devirt;
+  RowVec rows_by_block;
+  std::vector<Ovc> codes_by_block;
   RowBlock block(schema.total_columns(), 37);
   uint32_t n;
-  while ((n = devirt_merger.NextBlock(&block)) > 0) {
+  while ((n = block_merger.NextBlock(&block)) > 0) {
     for (uint32_t i = 0; i < n; ++i) {
-      rows_devirt.emplace_back(block.row(i),
-                               block.row(i) + schema.total_columns());
-      codes_devirt.push_back(block.code(i));
+      rows_by_block.emplace_back(block.row(i),
+                                 block.row(i) + schema.total_columns());
+      codes_by_block.push_back(block.code(i));
       ASSERT_TRUE(checker.Observe(block.row(i), block.code(i)))
           << checker.error();
     }
   }
 
-  EXPECT_EQ(rows_devirt, rows_virtual);
-  EXPECT_EQ(codes_devirt, codes_virtual);
+  EXPECT_EQ(rows_by_block, rows_by_row);
+  EXPECT_EQ(codes_by_block, codes_by_row);
   EXPECT_TRUE(checker.ok()) << checker.error();
 }
 

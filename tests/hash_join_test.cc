@@ -1,6 +1,5 @@
-// Nested-loops / lookup join (Section 4.8) and hash-based operators:
-// order-preserving hash join (4.9), grace hash join and hash aggregation
-// baselines.
+// Hash-based operators: order-preserving hash join (Section 4.9), grace
+// hash join and hash aggregation baselines.
 
 #include <algorithm>
 #include <map>
@@ -11,7 +10,6 @@
 #include "exec/aggregate.h"
 #include "exec/hash_aggregate.h"
 #include "exec/hash_join.h"
-#include "exec/nested_loops_join.h"
 #include "exec/scan.h"
 #include "test_util.h"
 
@@ -24,132 +22,6 @@ using ::ovc::testing::MakeTable;
 using ::ovc::testing::RowVec;
 using ::ovc::testing::RunFromSorted;
 using ::ovc::testing::ToRowVec;
-
-// Reference for NLJ with equality binding on the first `bind` columns.
-RowVec ReferenceNlj(const Schema& os, const Schema& is, const RowVec& outer,
-                    const RowVec& inner, uint32_t bind, JoinTypeNlj type,
-                    bool extended) {
-  auto bind_equal = [&](const std::vector<uint64_t>& o,
-                        const std::vector<uint64_t>& i) {
-    for (uint32_t c = 0; c < bind; ++c) {
-      if (o[c] != i[c]) return false;
-    }
-    return true;
-  };
-  RowVec out;
-  auto combined = [&](const std::vector<uint64_t>& o,
-                      const std::vector<uint64_t>* i) {
-    std::vector<uint64_t> row;
-    for (uint32_t c = 0; c < os.key_arity(); ++c) row.push_back(o[c]);
-    for (uint32_t c = 0; c < is.key_arity(); ++c) {
-      row.push_back(i != nullptr ? (*i)[c] : 0);
-    }
-    for (uint32_t c = 0; c < os.payload_columns(); ++c) {
-      row.push_back(o[os.key_arity() + c]);
-    }
-    for (uint32_t c = 0; c < is.payload_columns(); ++c) {
-      row.push_back(i != nullptr ? (*i)[is.key_arity() + c] : 0);
-    }
-    row.push_back(i != nullptr ? 3 : 1);
-    return row;
-  };
-  (void)extended;
-  for (const auto& o : outer) {
-    bool matched = false;
-    for (const auto& i : inner) {
-      if (bind_equal(o, i)) {
-        matched = true;
-        if (type == JoinTypeNlj::kInner || type == JoinTypeNlj::kLeftOuter) {
-          out.push_back(combined(o, &i));
-        }
-      }
-    }
-    switch (type) {
-      case JoinTypeNlj::kInner:
-        break;
-      case JoinTypeNlj::kLeftOuter:
-        if (!matched) out.push_back(combined(o, nullptr));
-        break;
-      case JoinTypeNlj::kLeftSemi:
-        if (matched) out.push_back(o);
-        break;
-      case JoinTypeNlj::kLeftAnti:
-        if (!matched) out.push_back(o);
-        break;
-    }
-  }
-  return out;
-}
-
-struct NljParam {
-  JoinTypeNlj type;
-  uint64_t outer_rows;
-  uint64_t inner_rows;
-  uint64_t distinct;
-  const char* name;
-};
-
-class NljTest : public ::testing::TestWithParam<NljParam> {};
-
-TEST_P(NljTest, MatchesReferenceWithValidCodes) {
-  const auto p = GetParam();
-  Schema os(2, 1);  // outer: 2 key cols (bind on both), 1 payload
-  Schema is(3, 1);  // inner: bind cols + 1 extra key col, 1 payload
-  RowBuffer ot = MakeTable(os, p.outer_rows, p.distinct, /*seed=*/51,
-                           /*sorted=*/true);
-  RowBuffer it = MakeTable(is, p.inner_rows, p.distinct, /*seed=*/52,
-                           /*sorted=*/true);
-  InMemoryRun orun = RunFromSorted(os, ot);
-  InMemoryRun irun = RunFromSorted(is, it);
-  RunScan oscan(&os, &orun);
-  QueryCounters counters;
-  RunLookupSource lookup(&is, &irun, /*bind_columns=*/2, &counters);
-  NestedLoopsJoin join(&oscan, &lookup, p.type, &counters);
-  RowVec out = DrainValidated(&join);
-  const bool extended = p.type == JoinTypeNlj::kInner ||
-                        p.type == JoinTypeNlj::kLeftOuter;
-  RowVec expected = ReferenceNlj(os, is, ToRowVec(ot), ToRowVec(it),
-                                 /*bind=*/2, p.type, extended);
-  Canonicalize(&out);
-  Canonicalize(&expected);
-  EXPECT_EQ(out, expected);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllTypes, NljTest,
-    ::testing::Values(
-        NljParam{JoinTypeNlj::kInner, 200, 150, 4, "inner"},
-        NljParam{JoinTypeNlj::kInner, 200, 150, 2, "inner_manytomany"},
-        NljParam{JoinTypeNlj::kLeftOuter, 200, 150, 4, "left_outer"},
-        NljParam{JoinTypeNlj::kLeftSemi, 200, 150, 4, "left_semi"},
-        NljParam{JoinTypeNlj::kLeftAnti, 200, 150, 4, "left_anti"},
-        NljParam{JoinTypeNlj::kLeftOuter, 100, 0, 4, "left_outer_empty"},
-        NljParam{JoinTypeNlj::kInner, 0, 100, 4, "inner_empty_outer"}),
-    [](const ::testing::TestParamInfo<NljParam>& info) {
-      return info.param.name;
-    });
-
-TEST(RunLookupSource, BindsToEqualityRanges) {
-  Schema schema(2, 1);
-  RowBuffer t(3);
-  ::ovc::testing::AppendRows(&t, {{1, 1, 0},
-                                  {1, 2, 1},
-                                  {1, 2, 2},
-                                  {2, 1, 3},
-                                  {3, 9, 4}});
-  InMemoryRun run = RunFromSorted(schema, t);
-  RunLookupSource lookup(&schema, &run, /*bind_columns=*/1, nullptr);
-  const uint64_t probe1[3] = {1, 0, 0};
-  lookup.Bind(probe1);
-  const uint64_t* row = nullptr;
-  Ovc code = 0;
-  int n = 0;
-  while (lookup.Next(&row, &code)) ++n;
-  EXPECT_EQ(n, 3);
-  const uint64_t probe4[3] = {4, 0, 0};
-  lookup.Bind(probe4);
-  EXPECT_FALSE(lookup.Next(&row, &code));
-}
 
 // ---------------------------------------------------------------------------
 // Hash joins.

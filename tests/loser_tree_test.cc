@@ -1,5 +1,5 @@
 // Tree-of-losers priority queues: in-memory sorting (PqSorter), merging
-// (OvcMerger), the Section 5 duplicate bypass, and the Figures 2/3 claim
+// (OvcMergerT), the Section 5 duplicate bypass, and the Figures 2/3 claim
 // that code-decided merges need no column comparisons.
 
 #include <memory>
@@ -151,7 +151,7 @@ TEST_P(OvcMergerTest, MergesToOneValidStream) {
 
   std::vector<std::unique_ptr<InMemoryRun>> runs;
   std::vector<std::unique_ptr<InMemoryRunSource>> source_storage;
-  std::vector<MergeSource*> sources;
+  std::vector<InMemoryRunSource*> sources;
   RowVec all;
   for (uint32_t r = 0; r < p.fan_in; ++r) {
     RowBuffer t = MakeTable(schema, p.rows_per_run, p.distinct,
@@ -164,9 +164,9 @@ TEST_P(OvcMergerTest, MergesToOneValidStream) {
     sources.push_back(source_storage.back().get());
   }
 
-  OvcMerger::Options options;
+  OvcMergerT<InMemoryRunSource>::Options options;
   options.duplicate_bypass = p.bypass;
-  OvcMerger merger(&codec, &comparator, sources, options);
+  OvcMergerT<InMemoryRunSource> merger(&codec, &comparator, sources, options);
   OvcStreamChecker checker(&schema);
   RowVec out;
   RowRef ref;
@@ -199,7 +199,7 @@ INSTANTIATE_TEST_SUITE_P(
              (info.param.bypass ? "_bypass" : "_nobypass");
     });
 
-TEST(OvcMerger, DuplicateBypassCountsRows) {
+TEST(OvcMergerT, DuplicateBypassCountsRows) {
   // A run full of duplicates: every successor after the first should bypass
   // the merge logic (Section 5).
   Schema schema(2);
@@ -209,7 +209,7 @@ TEST(OvcMerger, DuplicateBypassCountsRows) {
   OvcCodec codec(&schema);
   QueryCounters counters;
   KeyComparator comparator(&schema, &counters);
-  OvcMerger merger(&codec, &comparator, {&source});
+  OvcMergerT<InMemoryRunSource> merger(&codec, &comparator, {&source});
   RowRef ref;
   uint64_t n = 0;
   while (merger.Next(&ref)) ++n;
@@ -218,7 +218,7 @@ TEST(OvcMerger, DuplicateBypassCountsRows) {
   EXPECT_EQ(counters.column_comparisons, 0u);
 }
 
-TEST(OvcMerger, DistinctFirstColumnsNeedNoColumnComparisons) {
+TEST(OvcMergerT, DistinctFirstColumnsNeedNoColumnComparisons) {
   // The Figures 2/3 claim: when codes decide every comparison, merging does
   // not touch a single column value. Runs with disjoint, interleaved first
   // columns give exactly that.
@@ -234,7 +234,7 @@ TEST(OvcMerger, DistinctFirstColumnsNeedNoColumnComparisons) {
   OvcCodec codec(&schema);
   QueryCounters counters;
   KeyComparator comparator(&schema, &counters);
-  OvcMerger merger(&codec, &comparator, {&sa, &sb});
+  OvcMergerT<InMemoryRunSource> merger(&codec, &comparator, {&sa, &sb});
   OvcStreamChecker checker(&schema);
   RowRef ref;
   uint64_t n = 0;
@@ -248,7 +248,7 @@ TEST(OvcMerger, DistinctFirstColumnsNeedNoColumnComparisons) {
   EXPECT_GT(counters.code_comparisons, 0u);
 }
 
-TEST(OvcMerger, StableOnEqualKeys) {
+TEST(OvcMergerT, StableOnEqualKeys) {
   // Equal keys come out in input-index order: payloads from run 0 first.
   Schema schema(1, 1);
   RowVec run_a = {{5, 100}, {5, 101}};
@@ -258,14 +258,14 @@ TEST(OvcMerger, StableOnEqualKeys) {
   InMemoryRunSource sa(&a), sb(&b);
   OvcCodec codec(&schema);
   KeyComparator comparator(&schema, nullptr);
-  OvcMerger merger(&codec, &comparator, {&sa, &sb});
+  OvcMergerT<InMemoryRunSource> merger(&codec, &comparator, {&sa, &sb});
   RowRef ref;
   std::vector<uint64_t> payloads;
   while (merger.Next(&ref)) payloads.push_back(ref.cols[1]);
   EXPECT_EQ(payloads, (std::vector<uint64_t>{100, 101, 200, 201}));
 }
 
-TEST(PlainMerger, NaiveOutputCodesAreValid) {
+TEST(PlainMergerT, NaiveOutputCodesAreValid) {
   Schema schema(3);
   RowBuffer t1 = MakeTable(schema, 200, 3, /*seed=*/5, /*sorted=*/true);
   RowBuffer t2 = MakeTable(schema, 150, 3, /*seed=*/6, /*sorted=*/true);
@@ -275,9 +275,9 @@ TEST(PlainMerger, NaiveOutputCodesAreValid) {
   OvcCodec codec(&schema);
   QueryCounters counters;
   KeyComparator comparator(&schema, &counters);
-  PlainMerger::Options options;
+  PlainMergerT<InMemoryRunSource>::Options options;
   options.derive_output_codes = true;
-  PlainMerger merger(&codec, &comparator, {&sa, &sb}, options);
+  PlainMergerT<InMemoryRunSource> merger(&codec, &comparator, {&sa, &sb}, options);
   OvcStreamChecker checker(&schema);
   RowRef ref;
   uint64_t n = 0;

@@ -1,5 +1,5 @@
 // Unary order-preserving operators: filter (Table 3), projection, duplicate
-// removal, grouping/aggregation (Figure 4 semantics), pivot.
+// removal, grouping/aggregation (Figure 4 semantics).
 
 #include <map>
 #include <vector>
@@ -9,7 +9,6 @@
 #include "exec/aggregate.h"
 #include "exec/dedup.h"
 #include "exec/filter.h"
-#include "exec/pivot.h"
 #include "exec/project.h"
 #include "exec/scan.h"
 #include "exec/sort_operator.h"
@@ -222,28 +221,6 @@ TEST(Aggregate, GroupPrefixShorterThanKey) {
     EXPECT_EQ(row[2], (reference[{row[0], row[1]}]));
   }
   EXPECT_EQ(counters.column_comparisons, 0u);
-}
-
-TEST(Pivot, RowsToColumns) {
-  // (year, month, sales) -> (year, jan..apr sales).
-  Schema schema(2, 1);  // keys: year, month; payload: sales
-  RowBuffer table(3);
-  AppendRows(&table, {
-                         {2020, 1, 10},
-                         {2020, 1, 5},
-                         {2020, 3, 7},
-                         {2021, 2, 20},
-                         {2021, 4, 9},
-                         {2021, 9, 99},  // unknown tag: ignored
-                     });
-  InMemoryRun run = RunFromSorted(schema, table);
-  RunScan scan(&schema, &run);
-  PivotOperator pivot(&scan, /*group_prefix=*/1, /*tag_col=*/1,
-                      /*value_col=*/2, {1, 2, 3, 4});
-  RowVec out = DrainValidated(&pivot);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0], (::ovc::testing::Row({2020, 15, 0, 7, 0})));
-  EXPECT_EQ(out[1], (::ovc::testing::Row({2021, 0, 20, 0, 9})));
 }
 
 TEST(SortOperator, EndToEndWithScan) {

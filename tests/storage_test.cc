@@ -1,5 +1,5 @@
 // Storage substrates (Section 4.11): B-tree with code maintenance, LSM
-// forest, RLE column store, RID-list secondary index.
+// forest, RLE column store.
 
 #include <algorithm>
 #include <set>
@@ -10,7 +10,6 @@
 #include "storage/btree.h"
 #include "storage/column_store.h"
 #include "storage/lsm.h"
-#include "storage/rid_index.h"
 #include "exec/scan.h"
 #include "test_util.h"
 
@@ -231,79 +230,6 @@ TEST(ColumnStore, EmptyStore) {
   auto scan = store.CreateScan();
   RowVec out = DrainValidated(scan.get());
   EXPECT_TRUE(out.empty());
-}
-
-TEST(RidIndex, LookupAndRangeMergeAreValidRidStreams) {
-  Schema table_schema(2, 1);
-  RowBuffer table = MakeTable(table_schema, 1000, 8, /*seed=*/18);
-  RidIndex index;
-  index.Build(table, /*column=*/1);
-  EXPECT_LE(index.distinct_values(), 8u);
-  EXPECT_GT(index.compressed_bytes(), 0u);
-  // Delta-varint compression: far fewer than 8 bytes per RID.
-  EXPECT_LT(index.compressed_bytes(), 1000u * 4);
-
-  // Single-value lookup: exactly the rows holding that value.
-  QueryCounters counters;
-  auto lookup = index.Lookup(3);
-  RowVec rids = DrainValidated(lookup.get());
-  uint64_t expected = 0;
-  for (size_t i = 0; i < table.size(); ++i) {
-    if (table.row(i)[1] == 3) ++expected;
-  }
-  EXPECT_EQ(rids.size(), expected);
-
-  // Range scan: union of values 2..5, sorted by RID.
-  auto range = index.RangeScan(2, 5, &counters);
-  RowVec range_rids = DrainValidated(range.get());
-  uint64_t expected_range = 0;
-  for (size_t i = 0; i < table.size(); ++i) {
-    if (table.row(i)[1] >= 2 && table.row(i)[1] <= 5) ++expected_range;
-  }
-  EXPECT_EQ(range_rids.size(), expected_range);
-}
-
-TEST(RidIndex, IndexIntersectionMatchesPredicateConjunction) {
-  Schema table_schema(1, 2);  // one key, two indexed payload columns
-  RowBuffer table = MakeTable(table_schema, 2000, 4, /*seed=*/19);
-  // Overwrite payloads with indexable values.
-  for (size_t i = 0; i < table.size(); ++i) {
-    table.mutable_row(i)[1] = i % 7;
-    table.mutable_row(i)[2] = i % 5;
-  }
-  RidIndex idx_a, idx_b;
-  idx_a.Build(table, 1);
-  idx_b.Build(table, 2);
-
-  QueryCounters counters;
-  auto scan_a = idx_a.Lookup(3);   // rows with col1 == 3
-  auto scan_b = idx_b.Lookup(2);   // rows with col2 == 2
-  auto intersection = IntersectRidStreams(scan_a.get(), scan_b.get(),
-                                          &counters);
-  RowVec rids = DrainValidated(intersection.get());
-  uint64_t expected = 0;
-  for (size_t i = 0; i < table.size(); ++i) {
-    if (table.row(i)[1] == 3 && table.row(i)[2] == 2) ++expected;
-  }
-  EXPECT_EQ(rids.size(), expected);
-}
-
-TEST(RidIndex, MultiLookupMergesInList) {
-  Schema table_schema(1, 1);
-  RowBuffer table = MakeTable(table_schema, 500, 3, /*seed=*/20);
-  for (size_t i = 0; i < table.size(); ++i) {
-    table.mutable_row(i)[1] = i % 9;
-  }
-  RidIndex index;
-  index.Build(table, 1);
-  auto scan = index.MultiLookup({1, 4, 8}, nullptr);
-  RowVec rids = DrainValidated(scan.get());
-  uint64_t expected = 0;
-  for (size_t i = 0; i < table.size(); ++i) {
-    const uint64_t v = table.row(i)[1];
-    if (v == 1 || v == 4 || v == 8) ++expected;
-  }
-  EXPECT_EQ(rids.size(), expected);
 }
 
 }  // namespace
