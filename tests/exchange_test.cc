@@ -3,10 +3,12 @@
 // inline), child lifecycle, re-open, and threaded shutdown paths.
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/ovc_checker.h"
 #include "exec/exchange.h"
 #include "exec/scan.h"
 #include "test_util.h"
@@ -375,6 +377,63 @@ TEST(MergeExchange, NextBatchDrainsWholeBlocks) {
   exchange.Close();
   EXPECT_EQ(rows, 1200u);
 }
+
+struct QueueShape {
+  uint32_t batch_rows;
+  size_t queue_batches;
+};
+
+class MergeExchangeQueueTest : public ::testing::TestWithParam<QueueShape> {};
+
+TEST_P(MergeExchangeQueueTest, ThreadedMatchesInline) {
+  // The queue-fed path must be the inline merge exactly: same rows, same
+  // codes, same merge-side counters. A 3000-row batch is larger than the
+  // reader's block, so one batch is served across several refills.
+  MergeInputs in(3, 4000, /*seed_base=*/80);
+  auto drain = [&in](bool threaded, RowVec* rows, std::vector<Ovc>* codes,
+                     QueryCounters* counters) {
+    MergeExchange::Options options;
+    options.threaded = threaded;
+    options.batch_rows = GetParam().batch_rows;
+    options.queue_batches = GetParam().queue_batches;
+    MergeExchange exchange(in.ops, counters, options);
+    OvcStreamChecker checker(&in.schema);
+    const uint32_t width = in.schema.total_columns();
+    RowBlock block(width);
+    exchange.Open();
+    uint32_t n;
+    while ((n = exchange.NextBatch(&block)) > 0) {
+      for (uint32_t r = 0; r < n; ++r) {
+        ASSERT_TRUE(checker.Observe(block.row(r), block.code(r)))
+            << checker.error();
+        rows->emplace_back(block.row(r), block.row(r) + width);
+        codes->push_back(block.code(r));
+      }
+    }
+    exchange.Close();
+  };
+  RowVec inline_rows, threaded_rows;
+  std::vector<Ovc> inline_codes, threaded_codes;
+  QueryCounters inline_counters, threaded_counters;
+  drain(false, &inline_rows, &inline_codes, &inline_counters);
+  drain(true, &threaded_rows, &threaded_codes, &threaded_counters);
+  EXPECT_EQ(inline_rows.size(), 12000u);
+  EXPECT_EQ(threaded_rows, inline_rows);
+  EXPECT_EQ(threaded_codes, inline_codes);
+  EXPECT_TRUE(threaded_counters == inline_counters)
+      << threaded_counters.ToString() << " vs " << inline_counters.ToString();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, MergeExchangeQueueTest,
+    ::testing::Values(QueueShape{1, 1}, QueueShape{1, 4}, QueueShape{7, 1},
+                      QueueShape{7, 4}, QueueShape{1024, 1},
+                      QueueShape{1024, 4}, QueueShape{3000, 1},
+                      QueueShape{3000, 4}),
+    [](const ::testing::TestParamInfo<QueueShape>& info) {
+      return "batch" + std::to_string(info.param.batch_rows) + "_queue" +
+             std::to_string(info.param.queue_batches);
+    });
 
 TEST(MergeExchange, EarlyCloseWhileProducersBlockedOnFullQueues) {
   // Tight queues (1 batch deep) with large inputs guarantee the producers
