@@ -470,6 +470,13 @@ std::string WithTop(const std::string& detail, uint64_t limit) {
   return detail.empty() ? top : detail + ", " + top;
 }
 
+/// The row estimate of a line that stops after `limit` rows (0 = no
+/// limit): min(limit, rows). Only estimates are capped; costs price the
+/// whole input.
+double WithinLimit(double rows, uint64_t limit) {
+  return limit == 0 ? rows : std::min(rows, static_cast<double>(limit));
+}
+
 /// Appends `line` and its subtree to `out`, two spaces per depth.
 void RenderLine(const std::vector<PhysicalPlan::Line>& lines, int line,
                 int depth, std::string* out) {
@@ -593,7 +600,7 @@ Planner::Built Planner::InsertSort(Built child,
   const CardEstimate cc = CardOf(*logical_child, options_.cost_constants);
   Built built;
   built.prop = SortOutput(schema, options_.sort_config);
-  built.est.rows = child.est.rows;
+  built.est.rows = WithinLimit(child.est.rows, limit);
   built.est.cost = child.est.cost + SortCostFor(cost_model_, cc, schema);
   built.line = plan->AddLine(PhysicalAlg::kSort, WithTop("inserted", limit),
                              built.prop, built.est, {child.line});
@@ -612,17 +619,17 @@ Planner::Built Planner::BuildExchangeRegion(
     SplitExchange::Policy policy, uint32_t hash_prefix,
     const OrderProperty& part_prop, PhysicalAlg worker_alg,
     const std::string& detail, const OrderProperty& out_prop,
-    double alg_cost, double out_rows, QueryCounters* merge_counters,
-    PhysicalPlan* plan,
+    double alg_cost, double out_rows, uint64_t top,
+    QueryCounters* merge_counters, PhysicalPlan* plan,
     const std::function<std::unique_ptr<Operator>(
         const std::vector<Operator*>& parts, QueryCounters* wc)>&
         make_worker) {
   OVC_CHECK(inputs.size() == input_counters.size());
-  const uint32_t workers = options_.parallelism;
   // A split line's estimate is its input subtree's plus the routing; a
   // worker's sums its splits and adds its own algorithm; the merge line
   // (the region's root) adds the merging exchange.
-  NodeEstimate worker_est = {out_rows, 0.0};
+  const uint32_t workers = options_.parallelism;
+  NodeEstimate worker_est = {WithinLimit(out_rows, top * workers), 0.0};
   // A split pumps the shared input from whichever worker thread pulls
   // first, all under its pump mutex -- so it shares the region counters
   // its input subtree was built with (one instance per split, rolled up
@@ -670,8 +677,8 @@ Planner::Built Planner::BuildExchangeRegion(
   if (workers > plan->parallel_workers_) plan->parallel_workers_ = workers;
   Built region;
   region.prop = out_prop;
-  region.est = {out_rows, worker_est.cost + cost_model_.MergeExchange(
-                                                out_rows, workers)};
+  region.est = {WithinLimit(out_rows, top),
+                worker_est.cost + cost_model_.MergeExchange(out_rows, workers)};
   region.line = plan->AddLine(PhysicalAlg::kMergeExchange,
                               std::to_string(workers) + " workers", out_prop,
                               region.est, {worker_line});
@@ -721,7 +728,8 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
       // One output row per input row, in input order: the limit passes.
       Built child = BuildNode(node->children[0].get(), plan, ctrs, limit);
       result.prop = ProjectOutput(*node, child.prop);
-      result.est = {out_rows, child.est.cost + model.Project(out_rows)};
+      // One row per child row: a child that stops at the limit caps it.
+      result.est = {child.est.rows, child.est.cost + model.Project(out_rows)};
       result.line = plan->AddLine(PhysicalAlg::kProject, "", result.prop,
                                   result.est, {child.line});
       const Meter m = NewMeter(plan, result.line, ctrs);
@@ -790,7 +798,7 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
             {left, right}, {left_ctrs, right_ctrs},
             SplitExchange::Policy::kHashKey, key,
             OrderProperty::Sorted(key, /*ovc=*/true), d.alg, join_type,
-            d.out, alg_cost, out_rows, ctrs, plan,
+            d.out, alg_cost, out_rows, /*top=*/0, ctrs, plan,
             [type](const std::vector<Operator*>& parts, QueryCounters* wc) {
               return std::make_unique<MergeJoin>(parts[0], parts[1], type,
                                                  wc);
@@ -910,7 +918,7 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
         result = BuildExchangeRegion(
             {child}, {region_ctrs}, SplitExchange::Policy::kHashKey,
             group_prefix, child.prop, d.alg, group, d.out, alg_cost,
-            out_rows, ctrs, plan,
+            out_rows, top, ctrs, plan,
             [=](const std::vector<Operator*>& parts,
                 QueryCounters* wc) -> std::unique_ptr<Operator> {
               if (in_stream) {
@@ -924,7 +932,7 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
         break;
       }
       result.prop = d.out;
-      result.est = {out_rows, child.est.cost + alg_cost};
+      result.est = {WithinLimit(out_rows, top), child.est.cost + alg_cost};
       result.line = plan->AddLine(d.alg, group, result.prop, result.est,
                                   {child.line});
       const Meter m = NewMeter(plan, result.line, ctrs);
@@ -985,7 +993,7 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
       // others do not take a limit.
       const uint64_t top = d.alg == PhysicalAlg::kInSortDistinct ? limit : 0;
       result.prop = d.out;
-      result.est = {out_rows, child.est.cost + alg_cost};
+      result.est = {WithinLimit(out_rows, top), child.est.cost + alg_cost};
       result.line = plan->AddLine(d.alg, WithTop("", top), result.prop,
                                   result.est, {child.line});
       const Meter m = NewMeter(plan, result.line, ctrs);
@@ -1073,7 +1081,6 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
         // profiled, no stats slice -- it reports its child's actuals).
         ++plan->elided_sorts_;
         result = child;
-        result.est = {out_rows, child.est.cost};
         result.line =
             plan->AddLine(d.alg, "", d.out, result.est, {child.line});
         break;
@@ -1088,7 +1095,7 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
         result = BuildExchangeRegion(
             {child}, {region_ctrs}, SplitExchange::Policy::kRoundRobin, 0,
             child.prop, d.alg, WithTop("", limit), d.out, sort_cost, out_rows,
-            ctrs, plan,
+            limit, ctrs, plan,
             [temp, &sort_config, limit](const std::vector<Operator*>& parts,
                                         QueryCounters* wc) {
               return std::make_unique<SortOperator>(parts[0], wc, temp,
@@ -1097,7 +1104,7 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
         break;
       }
       result.prop = d.out;
-      result.est = {out_rows, child.est.cost + sort_cost};
+      result.est = {WithinLimit(out_rows, limit), child.est.cost + sort_cost};
       result.line = plan->AddLine(d.alg, WithTop("", limit), result.prop,
                                   result.est, {child.line});
       const Meter m = NewMeter(plan, result.line, ctrs);

@@ -380,14 +380,18 @@ class Planner {
   /// input (per-partition property `part_prop`), one line for the worker
   /// operator (`worker_alg`, "`detail`, per worker", output `out_prop`,
   /// costing `alg_cost` over the splits), and the merge line, which the
-  /// returned subtree's root stands for.
+  /// returned subtree's root stands for. `top` (0 = none) is the output
+  /// limit each worker was handed: the worker line then estimates at most
+  /// top rows per worker and the merge line at most top, while every cost
+  /// stays on `out_rows`.
   Built BuildExchangeRegion(
       const std::vector<Built>& inputs,
       const std::vector<QueryCounters*>& input_counters,
       SplitExchange::Policy policy, uint32_t hash_prefix,
       const OrderProperty& part_prop, PhysicalAlg worker_alg,
       const std::string& detail, const OrderProperty& out_prop,
-      double alg_cost, double out_rows, QueryCounters* merge_counters,
+      double alg_cost, double out_rows, uint64_t top,
+      QueryCounters* merge_counters,
       PhysicalPlan* plan,
       const std::function<std::unique_ptr<Operator>(
           const std::vector<Operator*>& parts, QueryCounters* wc)>&

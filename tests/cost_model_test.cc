@@ -414,6 +414,22 @@ TEST_F(CostModelTest, ProfiledScenariosRecordPerNodeQErrors) {
                    JoinType::kInner)
              .Build();
        }},
+      // A sort handed a limit serves k rows and estimates min(k, N).
+      {"top-k",
+       [&] {
+         return PlanBuilder::Scan(StatsSource("dup", &agg_schema, &agg_table,
+                                              4.0))
+             .TopK(5)
+             .Build();
+       }},
+      {"sort-then-limit",
+       [&] {
+         return PlanBuilder::Scan(StatsSource("dup", &agg_schema, &agg_table,
+                                              4.0))
+             .Sort()
+             .Limit(5)
+             .Build();
+       }},
   };
 
   plan::PlanExecutor::Options exec_options;
