@@ -687,7 +687,7 @@ TEST_F(SqlExecTest, GoldenExplain) {
       {"SELECT visitor, site FROM hits ORDER BY visitor LIMIT 10",
        1, plan::CostPolicy::kRuleBased, false, 0,
        "limit(k=10) [sorted(1)+ovc] {rows=10 cost=73510}\n"
-       "  sort(top=10) [sorted(1)+ovc] {rows=3000 cost=73500}\n"
+       "  sort(top=10) [sorted(1)+ovc] {rows=10 cost=73500}\n"
        "    project [unsorted] {rows=3000 cost=6000}\n"
        "      scan(hits) [unsorted] {rows=3000 cost=3000}\n",
        "scan project sort limit",
@@ -695,8 +695,8 @@ TEST_F(SqlExecTest, GoldenExplain) {
       {"SELECT visitor, site FROM hits ORDER BY visitor LIMIT 10",
        4, plan::CostPolicy::kCostBased, false, 0,
        "limit(k=10) [sorted(1)+ovc] {rows=10 cost=88510}\n"
-       "  merge-exchange(4 workers) [sorted(1)+ovc] {rows=3000 cost=88500}\n"
-       "    sort(top=10, per worker) [sorted(1)+ovc] {rows=3000 cost=76500}\n"
+       "  merge-exchange(4 workers) [sorted(1)+ovc] {rows=10 cost=88500}\n"
+       "    sort(top=10, per worker) [sorted(1)+ovc] {rows=40 cost=76500}\n"
        "      split-exchange(round-robin) [unsorted] {rows=3000 cost=9000}\n"
        "        project [unsorted] {rows=3000 cost=6000}\n"
        "          scan(hits) [unsorted] {rows=3000 cost=3000}\n",
@@ -704,12 +704,14 @@ TEST_F(SqlExecTest, GoldenExplain) {
        0, 1, 0, 4, 10, 88510},
       // The limit travels down to the sort or in-sort aggregate producing
       // the rows -- through projects and elided sorts, and to each worker
-      // under a merging exchange -- with every estimate unchanged.
+      // under a merging exchange. Every cost is unchanged; the lines from
+      // the limited one up to the limit estimate min(k, N) rows (k per
+      // worker).
       {"SELECT visitor, site FROM hits ORDER BY site DESC, visitor LIMIT 4",
        1, plan::CostPolicy::kCostBased, false, 0,
        "limit(k=4) [unsorted] {rows=4 cost=87004}\n"
-       "  project [unsorted] {rows=3000 cost=87000}\n"
-       "    sort(top=4) [sorted(2)+ovc] {rows=3000 cost=84000}\n"
+       "  project [unsorted] {rows=4 cost=87000}\n"
+       "    sort(top=4) [sorted(2)+ovc] {rows=4 cost=84000}\n"
        "      project [unsorted] {rows=3000 cost=9000}\n"
        "        project [unsorted] {rows=3000 cost=6000}\n"
        "          scan(hits) [unsorted] {rows=3000 cost=3000}\n",
@@ -719,8 +721,8 @@ TEST_F(SqlExecTest, GoldenExplain) {
        "LIMIT 3",
        1, plan::CostPolicy::kCostBased, false, 0,
        "limit(k=3) [sorted(1)+ovc] {rows=3 cost=67511}\n"
-       "  elided-sort [sorted(1)+ovc] {rows=8 cost=67508}\n"
-       "    in-sort-aggregate(group=1, top=3) [sorted(1)+ovc] {rows=8 cost=67508}\n"
+       "  elided-sort [sorted(1)+ovc] {rows=3 cost=67508}\n"
+       "    in-sort-aggregate(group=1, top=3) [sorted(1)+ovc] {rows=3 cost=67508}\n"
        "      scan(hits) [unsorted] {rows=3000 cost=3000}\n",
        "scan in-sort-aggregate elided-sort limit",
        0, 0, 1, 0, 3, 67511},
@@ -728,8 +730,8 @@ TEST_F(SqlExecTest, GoldenExplain) {
        "LIMIT 3",
        4, plan::CostPolicy::kRuleBased, false, 0,
        "limit(k=3) [sorted(1)+ovc] {rows=3 cost=100543}\n"
-       "  elided-sort [sorted(1)+ovc] {rows=8 cost=100540}\n"
-       "    merge-exchange(4 workers) [sorted(1)+ovc] {rows=8 cost=100540}\n"
+       "  elided-sort [sorted(1)+ovc] {rows=3 cost=100540}\n"
+       "    merge-exchange(4 workers) [sorted(1)+ovc] {rows=3 cost=100540}\n"
        "      in-sort-aggregate(group=1, top=3, per worker) [sorted(1)+ovc] {rows=8 cost=100508}\n"
        "        split-exchange(hash) [unsorted] {rows=3000 cost=36000}\n"
        "          scan(hits) [unsorted] {rows=3000 cost=3000}\n",
@@ -738,8 +740,8 @@ TEST_F(SqlExecTest, GoldenExplain) {
       {"SELECT DISTINCT site, day FROM hits ORDER BY site, day LIMIT 5",
        1, plan::CostPolicy::kCostBased, false, 0,
        "limit(k=5) [sorted(2)+ovc] {rows=5 cost=70889}\n"
-       "  elided-sort [sorted(2)+ovc] {rows=64 cost=70884}\n"
-       "    in-sort-distinct(top=5) [sorted(2)+ovc] {rows=64 cost=70884}\n"
+       "  elided-sort [sorted(2)+ovc] {rows=5 cost=70884}\n"
+       "    in-sort-distinct(top=5) [sorted(2)+ovc] {rows=5 cost=70884}\n"
        "      project [unsorted] {rows=3000 cost=6000}\n"
        "        scan(hits) [unsorted] {rows=3000 cost=3000}\n",
        "scan project in-sort-distinct elided-sort limit",
@@ -748,9 +750,9 @@ TEST_F(SqlExecTest, GoldenExplain) {
        "LIMIT 5",
        4, plan::CostPolicy::kCostBased, false, 0,
        "limit(k=5) [sorted(2)+ovc] {rows=5 cost=101145}\n"
-       "  elided-sort [sorted(2)+ovc] {rows=64 cost=101140}\n"
-       "    merge-exchange(4 workers) [sorted(2)+ovc] {rows=64 cost=101140}\n"
-       "      in-sort-aggregate(group=2, top=5, per worker) [sorted(2)+ovc] {rows=64 cost=100884}\n"
+       "  elided-sort [sorted(2)+ovc] {rows=5 cost=101140}\n"
+       "    merge-exchange(4 workers) [sorted(2)+ovc] {rows=5 cost=101140}\n"
+       "      in-sort-aggregate(group=2, top=5, per worker) [sorted(2)+ovc] {rows=20 cost=100884}\n"
        "        split-exchange(hash) [unsorted] {rows=3000 cost=36000}\n"
        "          scan(hits) [unsorted] {rows=3000 cost=3000}\n",
        "scan in-sort-aggregate elided-sort limit split-exchange merge-exchange",
