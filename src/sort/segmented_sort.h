@@ -13,6 +13,8 @@
 // segment-local tournament, with its offset shifted up by the segmentation
 // prefix. No comparisons beyond those of the segment-local sort are spent.
 
+// ovclint-disable-file OVC-L010 -- no planner path yet; ROADMAP.md item 1 gives it one
+
 #ifndef OVC_SORT_SEGMENTED_SORT_H_
 #define OVC_SORT_SEGMENTED_SORT_H_
 

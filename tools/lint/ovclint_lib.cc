@@ -7,8 +7,11 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 namespace ovc::lint {
 
@@ -152,6 +155,31 @@ void CollectXMacroLists(const SourceFile& f,
     }
     if (!entries.empty()) (*lists)[list] = std::move(entries);
   }
+}
+
+/// The quoted includes of `f`: each `#include "path"` with the offset of
+/// its directive (angle-bracket includes are skipped).
+std::vector<std::pair<std::string, size_t>> QuotedIncludes(
+    const SourceFile& f) {
+  std::vector<std::pair<std::string, size_t>> out;
+  size_t pos = 0;
+  while ((pos = f.code.find("#include", pos)) != std::string::npos) {
+    const size_t q1 = f.code.find_first_of("\"<\n", pos + 8);
+    if (q1 == std::string::npos || f.code[q1] != '"') {
+      pos += 8;
+      continue;
+    }
+    const size_t q2 = f.code.find('"', q1 + 1);
+    if (q2 == std::string::npos) break;
+    out.emplace_back(f.code.substr(q1 + 1, q2 - q1 - 1), pos);
+    pos = q2 + 1;
+  }
+  return out;
+}
+
+/// `rel` without its extension: a header and its own .cc share a stem.
+std::string Stem(const std::string& rel) {
+  return rel.substr(0, rel.rfind('.'));
 }
 
 /// Failpoint names follow `component.event` (dotted lowercase); this is
@@ -329,16 +357,7 @@ std::vector<Finding> LintTree(const std::string& root) {
     const std::string layer = f.rel.substr(4, slash - 4);
     const int rank = LayerRank(layer);
     if (rank < 0) continue;
-    size_t pos = 0;
-    while ((pos = f.code.find("#include", pos)) != std::string::npos) {
-      const size_t q1 = f.code.find_first_of("\"<\n", pos + 8);
-      if (q1 == std::string::npos || f.code[q1] != '"') {
-        pos += 8;
-        continue;
-      }
-      const size_t q2 = f.code.find('"', q1 + 1);
-      if (q2 == std::string::npos) break;
-      const std::string inc = f.code.substr(q1 + 1, q2 - q1 - 1);
+    for (const auto& [inc, pos] : QuotedIncludes(f)) {
       const size_t inc_slash = inc.find('/');
       if (inc_slash != std::string::npos) {
         const std::string inc_dir = inc.substr(0, inc_slash);
@@ -357,7 +376,6 @@ std::vector<Finding> LintTree(const std::string& root) {
                  "layering: src/ must not include \"" + inc + "\"");
         }
       }
-      pos = q2 + 1;
     }
   }
 
@@ -615,6 +633,38 @@ std::vector<Finding> LintTree(const std::string& root) {
                std::string(primitive) +
                    " is invisible to -Wthread-safety; use the annotated "
                    "Mutex/MutexLock/CondVar from common/mutex.h");
+      }
+    }
+  }
+
+  // --- OVC-L010: unreachable headers in src/ -----------------------------
+  {
+    // Stems of the files (outside the header's own .cc) that include each
+    // path; src/ files include relative to src/, tools/ files may spell
+    // the src/ prefix out.
+    std::map<std::string, std::set<std::string>> includers;
+    for (const SourceFile& f : files) {
+      if (!StartsWith(f.rel, "src/") && !StartsWith(f.rel, "tools/")) continue;
+      for (const auto& inc : QuotedIncludes(f)) {
+        const std::string path =
+            StartsWith(inc.first, "src/") ? inc.first : "src/" + inc.first;
+        includers[path].insert(Stem(f.rel));
+      }
+    }
+    for (const SourceFile& f : files) {
+      if (!StartsWith(f.rel, "src/") || f.rel.size() < 2 ||
+          f.rel.substr(f.rel.size() - 2) != ".h") {
+        continue;
+      }
+      const auto it = includers.find(f.rel);
+      const bool reached =
+          it != includers.end() &&
+          (it->second.size() > 1 || !it->second.count(Stem(f.rel)));
+      if (!reached) {
+        report(f, "OVC-L010", 0,
+               "unreachable header: no other src/ or tools/ file includes "
+               "it; give it a path in (planner, SQL, server, tools) or "
+               "delete it");
       }
     }
   }

@@ -26,6 +26,9 @@
 //             (OVC_TRACE_SPAN[_VAR]) name in src/ appears in the registry
 //             tables of docs/OBSERVABILITY.md
 //   OVC-L009  ...and every documented metric/span name still exists in code
+//   OVC-L010  every src/**/*.h is included by some src/ or tools/ file
+//             other than its own .cc -- a header nothing reaches is
+//             unreachable code (give it a path in or delete it)
 //
 // Suppression is file-level, must live in a // comment, and must carry
 // a reason:
