@@ -4,9 +4,8 @@
 // Order-preserving: "hash-join preserves the sort order of its probe input
 // if the build input and its hash table fit in memory. ... the hash table
 // is much like an unsorted version of a database index in index
-// nested-loops join." Output codes follow the same rules as lookup join
-// with an unsorted inner: filter theorem over the probe stream, duplicate
-// codes for additional matches.
+// nested-loops join." Output codes follow the filter theorem over the
+// probe stream, with duplicate codes for additional matches.
 //
 // Grace: when the build input exceeds its memory budget, both inputs are
 // hash-partitioned to temporary storage and each partition pair is joined

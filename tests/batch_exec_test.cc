@@ -495,7 +495,7 @@ TEST(NextBatch, SortOperatorServesBlocksInMemoryAndSpilled) {
   TempFileManager temp;
 
   // In-memory path (default budget) and spill path (tiny budget: many runs,
-  // final merge through the devirtualized RunFileReader merger).
+  // final merge through the RunFileReader merger).
   for (uint64_t memory_rows : {uint64_t{1} << 20, uint64_t{256}}) {
     BufferScan scan(&schema, &table);
     SortConfig config;

@@ -356,7 +356,7 @@ TEST(MergeExchange, CopyingConsumerSurvivesBatchBoundaries) {
 }
 
 TEST(MergeExchange, NextBatchDrainsWholeBlocks) {
-  // The devirtualized block output path: NextBatch pulls whole blocks out
+  // The block output path: NextBatch pulls whole blocks out
   // of the merge, with codes valid across block boundaries.
   MergeInputs in(3, 400, /*seed_base=*/70);
   MergeExchange::Options options;
