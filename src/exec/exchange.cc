@@ -231,24 +231,24 @@ void BoundedBatchQueue::Cancel() {
   not_empty_.NotifyAll();
 }
 
-namespace {
-
-/// Operator view of one producer's batch queue. Serves each popped batch
-/// zero-copy, as RunScan serves an InMemoryRun (a RowBatch is one), in spans
-/// of at most the caller's block capacity. Row lifetime (exec/operator.h):
-/// a batch stays alive until the next NextBatch()/Close() -- the pull that
-/// pops the next batch frees it.
-class QueueStream : public Operator {
+/// Operator view of one producer's batch queue, which it owns. Serves each
+/// popped batch zero-copy, as RunScan serves an InMemoryRun (a RowBatch is
+/// one), in spans of at most the caller's block capacity. Row lifetime
+/// (exec/operator.h): a batch stays alive until the next NextBatch()/Close()
+/// -- the pull that pops the next batch frees it.
+class MergeExchange::QueueStream : public Operator {
  public:
-  QueueStream(BoundedBatchQueue* queue, const Schema* schema)
-      : queue_(queue), schema_(schema) {}
+  QueueStream(size_t queue_batches, const Schema* schema)
+      : queue_(queue_batches), schema_(schema) {}
+
+  BoundedBatchQueue* queue() { return &queue_; }
 
   void Open() override {}
   uint32_t NextBatch(RowBlock* out) override {
     out->Clear();
     while (batch_ == nullptr || pos_ == batch_->size()) {
       if (done_) return 0;
-      batch_ = queue_->Pop();  // frees the previous batch and its rows
+      batch_ = queue_.Pop();  // frees the previous batch and its rows
       pos_ = 0;
       if (batch_ == nullptr) {
         done_ = true;
@@ -268,14 +268,12 @@ class QueueStream : public Operator {
   bool has_ovc() const override { return true; }
 
  private:
-  BoundedBatchQueue* queue_;
+  BoundedBatchQueue queue_;
   const Schema* schema_;
   std::unique_ptr<RowBatch> batch_;
   size_t pos_ = 0;
   bool done_ = false;
 };
-
-}  // namespace
 
 MergeExchange::MergeExchange(std::vector<Operator*> inputs,
                              QueryCounters* counters, Options options)
@@ -303,9 +301,9 @@ void MergeExchange::Open() {
   for (Operator* in : inputs_) {
     Operator* source = in;
     if (options_.threaded) {
-      queues_.push_back(
-          std::make_unique<BoundedBatchQueue>(options_.queue_batches));
-      BoundedBatchQueue* queue = queues_.back().get();
+      queue_streams_.push_back(
+          std::make_unique<QueueStream>(options_.queue_batches, &in->schema()));
+      BoundedBatchQueue* queue = queue_streams_.back()->queue();
       const uint32_t batch_rows = options_.batch_rows;
       // Capture the consumer thread's trace context here so the producer
       // span parents under whatever span is driving this Open() -- the
@@ -340,8 +338,6 @@ void MergeExchange::Open() {
         in->Close();
         running.Sub(1);
       });
-      queue_streams_.push_back(
-          std::make_unique<QueueStream>(queue, &in->schema()));
       source = queue_streams_.back().get();
     }
     readers_.push_back(std::make_unique<BlockReader>(source));
@@ -372,8 +368,8 @@ uint32_t MergeExchange::NextBatch(RowBlock* out) {
 }
 
 void MergeExchange::ResetState() {
-  for (auto& queue : queues_) {
-    queue->Cancel();
+  for (auto& stream : queue_streams_) {
+    stream->queue()->Cancel();
   }
   for (std::thread& t : producers_) {
     if (t.joinable()) t.join();
@@ -389,7 +385,6 @@ void MergeExchange::ResetState() {
   for (auto& reader : readers_) reader->Close();
   readers_.clear();
   queue_streams_.clear();
-  queues_.clear();
 }
 
 void MergeExchange::Close() { ResetState(); }

@@ -238,6 +238,8 @@ class MergeExchange : public Operator {
   bool has_ovc() const override { return options_.use_ovc; }
 
  private:
+  class QueueStream;
+
   /// Returns the exchange to its pre-Open state (joins producer threads,
   /// closes the readers, drops mergers/readers/queues). Safe to call in any
   /// state.
@@ -249,10 +251,10 @@ class MergeExchange : public Operator {
   OvcCodec codec_;
   KeyComparator comparator_;
 
-  std::vector<std::unique_ptr<BoundedBatchQueue>> queues_;
+  /// Threaded mode: one queue per input, each owned by the operator that
+  /// serves its batches, and the producer thread that fills it.
+  std::vector<std::unique_ptr<QueueStream>> queue_streams_;
   std::vector<std::thread> producers_;
-  /// Threaded mode: one operator per queue, serving its batches.
-  std::vector<std::unique_ptr<Operator>> queue_streams_;
   /// One open reader per input, over the input (inline mode) or over its
   /// queue stream (threaded mode); closed by ResetState (Close, or a
   /// re-entrant Open), which balances inline mode's input opens.
