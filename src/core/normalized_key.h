@@ -16,7 +16,7 @@
 // exercise them over random normalized keys -- because the proofs only use
 // "maximal shared prefix" and an ordered alphabet, not column structure.
 
-// ovclint-disable-file OVC-L010 -- no path yet; ROADMAP.md item 4 uses or deletes it
+// ovclint-disable-file OVC-L010 -- ROADMAP.md item 4 uses or deletes it
 
 #ifndef OVC_CORE_NORMALIZED_KEY_H_
 #define OVC_CORE_NORMALIZED_KEY_H_

@@ -13,7 +13,7 @@
 // segment-local tournament, with its offset shifted up by the segmentation
 // prefix. No comparisons beyond those of the segment-local sort are spent.
 
-// ovclint-disable-file OVC-L010 -- no planner path yet; ROADMAP.md item 1 gives it one
+// ovclint-disable-file OVC-L010 -- ROADMAP.md item 1 gives it a path in
 
 #ifndef OVC_SORT_SEGMENTED_SORT_H_
 #define OVC_SORT_SEGMENTED_SORT_H_

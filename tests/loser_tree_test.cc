@@ -277,7 +277,8 @@ TEST(PlainMergerT, NaiveOutputCodesAreValid) {
   KeyComparator comparator(&schema, &counters);
   PlainMergerT<InMemoryRunSource>::Options options;
   options.derive_output_codes = true;
-  PlainMergerT<InMemoryRunSource> merger(&codec, &comparator, {&sa, &sb}, options);
+  PlainMergerT<InMemoryRunSource> merger(&codec, &comparator, {&sa, &sb},
+                                         options);
   OvcStreamChecker checker(&schema);
   RowRef ref;
   uint64_t n = 0;
