@@ -123,12 +123,12 @@ void HashBasedPlan(benchmark::State& state) {
     BufferScan scan1(&fixture.schema, &fixture.t1);
     BufferScan scan2(&fixture.schema, &fixture.t2);
     HashAggregate dedup1(&scan1, kKeyColumns, {}, memory_rows, &counters,
-                         &temp);
+                         &temp, FallbackPolicy::kPartition);
     HashAggregate dedup2(&scan2, kKeyColumns, {}, memory_rows, &counters,
-                         &temp);
+                         &temp, FallbackPolicy::kPartition);
     GraceHashJoin intersect(&dedup1, &dedup2, kKeyColumns,
                             JoinTypeHash::kLeftSemi, memory_rows, &counters,
-                            &temp);
+                            &temp, FallbackPolicy::kPartition);
     result_rows = DrainAndCount(&intersect);
   }
   state.SetItemsProcessed(state.iterations() * 2 * rows);

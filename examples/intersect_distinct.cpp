@@ -83,10 +83,14 @@ int main(int argc, char** argv) {
     QueryCounters counters;
     TempFileManager temp;
     BufferScan scan1(&schema, &t1), scan2(&schema, &t2);
-    HashAggregate dedup1(&scan1, 2, {}, memory_rows, &counters, &temp);
-    HashAggregate dedup2(&scan2, 2, {}, memory_rows, &counters, &temp);
+    // Classic grace partitioning: the spill cost this plan is known for.
+    HashAggregate dedup1(&scan1, 2, {}, memory_rows, &counters, &temp,
+                         FallbackPolicy::kPartition);
+    HashAggregate dedup2(&scan2, 2, {}, memory_rows, &counters, &temp,
+                         FallbackPolicy::kPartition);
     GraceHashJoin intersect(&dedup1, &dedup2, 2, JoinTypeHash::kLeftSemi,
-                            memory_rows, &counters, &temp);
+                            memory_rows, &counters, &temp,
+                            FallbackPolicy::kPartition);
     const uint64_t result = DrainAndCount(&intersect);
     std::printf("hash-based plan:   %8lu result rows\n",
                 static_cast<unsigned long>(result));

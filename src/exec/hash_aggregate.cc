@@ -14,13 +14,12 @@ namespace ovc {
 HashAggregate::HashAggregate(Operator* child, uint32_t group_prefix,
                              std::vector<AggregateSpec> aggregates,
                              uint64_t memory_groups, QueryCounters* counters,
-                             TempFileManager* temp, uint32_t partitions,
-                             FallbackPolicy fallback, SortConfig sort_config)
+                             TempFileManager* temp, FallbackPolicy fallback,
+                             SortConfig sort_config)
     : child_(child),
       group_prefix_(group_prefix),
       aggregates_(std::move(aggregates)),
       memory_groups_(memory_groups),
-      partitions_(partitions),
       fallback_(fallback),
       sort_config_(sort_config),
       output_schema_(InStreamAggregate::MakeOutputSchema(
@@ -35,7 +34,6 @@ HashAggregate::HashAggregate(Operator* child, uint32_t group_prefix,
   OVC_CHECK(group_prefix >= 1);
   OVC_CHECK(group_prefix <= child->schema().key_arity());
   OVC_CHECK(memory_groups >= 1);
-  OVC_CHECK(partitions >= 2);
 }
 
 void HashAggregate::SeedGroup(uint64_t* group_state) {
@@ -127,7 +125,7 @@ uint32_t HashAggregate::PartitionOf(const uint64_t* row, uint32_t level) {
   h ^= h >> 29;
   h *= 0xbf58476d1ce4e5b9ULL;
   h ^= h >> 32;
-  return static_cast<uint32_t>(h % partitions_);
+  return static_cast<uint32_t>(h % kHashPartitions);
 }
 
 void HashAggregate::BeginSortMergeFallback() {
@@ -193,9 +191,9 @@ void HashAggregate::Open() {
     }
     // Spill path: route the row to its hash partition.
     if (writers.empty()) {
-      writers.resize(partitions_);
-      paths.resize(partitions_);
-      for (uint32_t p = 0; p < partitions_; ++p) {
+      writers.resize(kHashPartitions);
+      paths.resize(kHashPartitions);
+      for (uint32_t p = 0; p < kHashPartitions; ++p) {
         writers[p] = std::make_unique<RunFileWriter>(&in, counters_);
         paths[p] = temp_->NewPath("hagg-part");
         Status st = writers[p]->Open(paths[p]);
@@ -253,9 +251,9 @@ bool HashAggregate::ProcessNextPartition() {
       if (TryAccumulate(row)) continue;
       // Still too many groups: repartition recursively.
       if (writers.empty()) {
-        writers.resize(partitions_);
-        paths.resize(partitions_);
-        for (uint32_t p = 0; p < partitions_ && st.ok(); ++p) {
+        writers.resize(kHashPartitions);
+        paths.resize(kHashPartitions);
+        for (uint32_t p = 0; p < kHashPartitions && st.ok(); ++p) {
           writers[p] = std::make_unique<RunFileWriter>(&in, counters_);
           paths[p] = temp_->NewPath("hagg-part");
           st = writers[p]->Open(paths[p]);

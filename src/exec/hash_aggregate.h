@@ -45,8 +45,7 @@ class HashAggregate : public Operator {
   HashAggregate(Operator* child, uint32_t group_prefix,
                 std::vector<AggregateSpec> aggregates, uint64_t memory_groups,
                 QueryCounters* counters, TempFileManager* temp,
-                uint32_t partitions = 16,
-                FallbackPolicy fallback = FallbackPolicy::kPartition,
+                FallbackPolicy fallback = FallbackPolicy::kSortMerge,
                 SortConfig sort_config = SortConfig{});
 
   void Open() override;
@@ -81,7 +80,6 @@ class HashAggregate : public Operator {
   uint32_t group_prefix_;
   std::vector<AggregateSpec> aggregates_;
   uint64_t memory_groups_;
-  uint32_t partitions_;
   FallbackPolicy fallback_;
   SortConfig sort_config_;
   Schema output_schema_;

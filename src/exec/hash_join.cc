@@ -232,14 +232,13 @@ Schema GraceHashJoin::MakeOutputSchema() const {
 GraceHashJoin::GraceHashJoin(Operator* probe, Operator* build,
                              uint32_t bind_columns, JoinTypeHash type,
                              uint64_t memory_rows, QueryCounters* counters,
-                             TempFileManager* temp, uint32_t partitions,
-                             FallbackPolicy fallback, SortConfig sort_config)
+                             TempFileManager* temp, FallbackPolicy fallback,
+                             SortConfig sort_config)
     : probe_(probe),
       build_(build),
       bind_columns_(bind_columns),
       type_(type),
       memory_rows_(memory_rows),
-      partitions_(partitions),
       fallback_(fallback),
       sort_config_(sort_config),
       output_schema_(MakeOutputSchema()),
@@ -248,7 +247,6 @@ GraceHashJoin::GraceHashJoin(Operator* probe, Operator* build,
       resident_build_(build->schema().total_columns()),
       output_queue_(output_schema_.total_columns()) {
   OVC_CHECK(type == JoinTypeHash::kInner || type == JoinTypeHash::kLeftSemi);
-  OVC_CHECK(partitions >= 2);
 }
 
 uint32_t GraceHashJoin::PartitionOf(const uint64_t* row, uint32_t level) {
@@ -257,7 +255,7 @@ uint32_t GraceHashJoin::PartitionOf(const uint64_t* row, uint32_t level) {
   h ^= h >> 29;
   h *= 0xbf58476d1ce4e5b9ULL;
   h ^= h >> 32;
-  return static_cast<uint32_t>(h % partitions_);
+  return static_cast<uint32_t>(h % kHashPartitions);
 }
 
 void GraceHashJoin::JoinResident(const RowBuffer& build,
@@ -400,9 +398,9 @@ void GraceHashJoin::Open() {
         BeginSortMergeFallback();
       } else {
         // Overflow: re-partition what is already resident, then continue.
-        build_writers.resize(partitions_);
-        build_paths.resize(partitions_);
-        for (uint32_t p = 0; p < partitions_; ++p) {
+        build_writers.resize(kHashPartitions);
+        build_paths.resize(kHashPartitions);
+        for (uint32_t p = 0; p < kHashPartitions; ++p) {
           build_writers[p] =
               std::make_unique<RunFileWriter>(&build_->schema(), counters_);
           build_paths[p] = temp_->NewPath("ghj-build");
@@ -471,9 +469,9 @@ void GraceHashJoin::Open() {
   }
 
   // Partition the probe side the same way.
-  std::vector<std::unique_ptr<RunFileWriter>> probe_writers(partitions_);
-  std::vector<std::string> probe_paths(partitions_);
-  for (uint32_t p = 0; p < partitions_; ++p) {
+  std::vector<std::unique_ptr<RunFileWriter>> probe_writers(kHashPartitions);
+  std::vector<std::string> probe_paths(kHashPartitions);
+  for (uint32_t p = 0; p < kHashPartitions; ++p) {
     probe_writers[p] =
         std::make_unique<RunFileWriter>(&probe_->schema(), counters_);
     probe_paths[p] = temp_->NewPath("ghj-probe");
@@ -497,7 +495,7 @@ void GraceHashJoin::Open() {
   }
   probe.Close();
   const uint64_t build_rows = TotalRows(build_writers);
-  for (uint32_t p = 0; p < partitions_; ++p) {
+  for (uint32_t p = 0; p < kHashPartitions; ++p) {
     Status st = build_writers[p]->Close();
     if (st.ok()) st = probe_writers[p]->Close();
     if (!st.ok()) {
@@ -517,10 +515,11 @@ void GraceHashJoin::Repartition(const PartitionPair& pair) {
   const Schema& bs = build_->schema();
   const Schema& ps = probe_->schema();
   OvcCodec bcodec(&bs), pcodec(&ps);
-  std::vector<PartitionPair> subs(partitions_);
-  std::vector<std::unique_ptr<RunFileWriter>> bw(partitions_), pw(partitions_);
+  std::vector<PartitionPair> subs(kHashPartitions);
+  std::vector<std::unique_ptr<RunFileWriter>> bw(kHashPartitions),
+      pw(kHashPartitions);
   Status st = Status::Ok();
-  for (uint32_t p = 0; p < partitions_ && st.ok(); ++p) {
+  for (uint32_t p = 0; p < kHashPartitions && st.ok(); ++p) {
     subs[p].level = pair.level + 1;
     subs[p].build_path = temp_->NewPath("ghj-build");
     subs[p].probe_path = temp_->NewPath("ghj-probe");
@@ -549,7 +548,7 @@ void GraceHashJoin::Repartition(const PartitionPair& pair) {
   }
   // Only when every writer opened: a failed Open leaves later ones null.
   const uint64_t build_rows = st.ok() ? TotalRows(bw) : 0;
-  for (uint32_t p = 0; p < partitions_ && st.ok(); ++p) {
+  for (uint32_t p = 0; p < kHashPartitions && st.ok(); ++p) {
     st = bw[p]->Close();
     if (st.ok()) st = pw[p]->Close();
     if (!st.ok()) break;

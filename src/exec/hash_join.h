@@ -36,6 +36,9 @@ class RunFileReader;
 /// Join flavors supported by the hash joins (probe side is "left").
 enum class JoinTypeHash { kInner, kLeftOuter, kLeftSemi, kLeftAnti };
 
+/// Fan-out of every grace split, in the hash join and the hash aggregate.
+inline constexpr uint32_t kHashPartitions = 16;
+
 /// Hashes the first `columns` columns of `row` (counted in `counters`).
 uint64_t HashKeyPrefix(const uint64_t* row, uint32_t columns,
                        QueryCounters* counters);
@@ -118,8 +121,7 @@ class GraceHashJoin : public Operator {
   GraceHashJoin(Operator* probe, Operator* build, uint32_t bind_columns,
                 JoinTypeHash type, uint64_t memory_rows,
                 QueryCounters* counters, TempFileManager* temp,
-                uint32_t partitions = 16,
-                FallbackPolicy fallback = FallbackPolicy::kPartition,
+                FallbackPolicy fallback = FallbackPolicy::kSortMerge,
                 SortConfig sort_config = SortConfig{});
 
   void Open() override;
@@ -152,7 +154,7 @@ class GraceHashJoin : public Operator {
   bool ProcessNextPartition();
   /// Level-salted hash partition (recursion splits colliding keys).
   uint32_t PartitionOf(const uint64_t* row, uint32_t level);
-  /// Splits a partition pair into `partitions_` sub-pairs at level+1.
+  /// Splits a partition pair into kHashPartitions sub-pairs at level+1.
   void Repartition(const PartitionPair& pair);
 
   /// Sort+merge continuation, step 1: counts the fallback and moves the
@@ -182,7 +184,6 @@ class GraceHashJoin : public Operator {
   uint32_t bind_columns_;
   JoinTypeHash type_;
   uint64_t memory_rows_;
-  uint32_t partitions_;
   FallbackPolicy fallback_;
   SortConfig sort_config_;
   Schema output_schema_;

@@ -831,8 +831,7 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
         case PhysicalAlg::kGraceHashJoin:
           join = plan->Own(std::make_unique<GraceHashJoin>(
               left.op, right.op, key, ToHashType(node->join_type),
-              options_.hash_memory_rows, m.ctrs, temp_,
-              options_.hash_partitions, options_.fallback,
+              options_.hash_memory_rows, m.ctrs, temp_, options_.fallback,
               options_.sort_config));
           break;
         default:
@@ -953,8 +952,7 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
         case PhysicalAlg::kHashAggregate:
           result.op = plan->Own(std::make_unique<HashAggregate>(
               child.op, group_prefix, node->aggregates,
-              options_.hash_memory_rows, m.ctrs, temp_,
-              options_.hash_partitions, options_.fallback,
+              options_.hash_memory_rows, m.ctrs, temp_, options_.fallback,
               options_.sort_config));
           break;
         default:
@@ -1011,8 +1009,7 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
           result.op = plan->Own(std::make_unique<HashAggregate>(
               child.op, node->schema.key_arity(),
               std::vector<AggregateSpec>(), options_.hash_memory_rows,
-              m.ctrs, temp_, options_.hash_partitions, options_.fallback,
-              options_.sort_config));
+              m.ctrs, temp_, options_.fallback, options_.sort_config));
           break;
         default:
           OVC_CHECK(false);

@@ -129,16 +129,13 @@ struct PlannerOptions {
   bool assume_build_fits_memory = false;
   /// Row budget for hash-join build sides and hash-aggregation tables.
   uint64_t hash_memory_rows = uint64_t{1} << 20;
-  /// Spill partitions for grace hash join / hash aggregation.
-  uint32_t hash_partitions = 16;
   /// What a planner-built hash operator does when its budget check fails
   /// mid-query. Planned queries default to the graceful path -- degrade to
   /// the sort-based strategy (ExternalSort + merge logic, preserving OVCs)
   /// from the point of failure -- because a planner that got here
   /// mis-estimated, and recursive partition thrashing compounds the
-  /// mistake. kPartition restores the classic grace behavior (and stays
-  /// the constructor default for directly built operators, e.g. the
-  /// Figure 6 hash-plan benchmarks that measure it).
+  /// mistake. kPartition restores the classic grace behavior (the Figure 6
+  /// hash-plan benchmarks name it, since they measure it).
   FallbackPolicy fallback = FallbackPolicy::kSortMerge;
   /// Worker pipelines for exchange-parallel plan shapes; 1 keeps every
   /// plan serial. With N > 1 the planner splits eligible sorts,

@@ -317,7 +317,6 @@ std::string OptionsFingerprint(const plan::PlanExecutor::Options& options) {
   out += " sort_based=" + std::to_string(p.prefer_sort_based ? 1 : 0);
   out += " build_fits=" + std::to_string(p.assume_build_fits_memory ? 1 : 0);
   out += " hash_rows=" + std::to_string(p.hash_memory_rows);
-  out += " hash_parts=" + std::to_string(p.hash_partitions);
   out += " fallback=" + std::to_string(static_cast<int>(p.fallback));
   out += " parallelism=" + std::to_string(p.parallelism);
   out += " sort_rows=" + std::to_string(p.sort_config.memory_rows);

@@ -221,7 +221,7 @@ ParityCase GraceCase(const char* name, JoinTypeHash type, uint64_t memory_rows,
   return {name, [=](Tree* t) {
             return t->Make<GraceHashJoin>(
                 Unsorted(t, In().join_left), Unsorted(t, In().join_build), 1,
-                type, memory_rows, &t->counters, &t->temp, 4, fallback);
+                type, memory_rows, &t->counters, &t->temp, fallback);
           }};
 }
 
@@ -232,7 +232,7 @@ ParityCase HashAggCase(const char* name, uint64_t memory_groups,
                 Unsorted(t), 2,
                 std::vector<AggregateSpec>{{AggFn::kCount, 0},
                                            {AggFn::kSum, 2}},
-                memory_groups, &t->counters, &t->temp, 4, fallback);
+                memory_groups, &t->counters, &t->temp, fallback);
           }};
 }
 

@@ -177,7 +177,6 @@ TEST_F(FailpointTest, FailedOpenDuringRepartitionDegradesCleanly) {
   // files (16 build, 16 probe) open; every open after them fails, so the
   // level-1 split stops at its first writer. The join must record the
   // error and end its output -- not touch the writers it never opened.
-  constexpr uint32_t kPartitions = 16;
   Schema ps(1, 1), bs(1, 1);
   RowBuffer pt = MakeTable(ps, 500, 1000, /*seed=*/31);
   RowBuffer bt = MakeTable(bs, 2000, 1000, /*seed=*/32);
@@ -186,10 +185,10 @@ TEST_F(FailpointTest, FailedOpenDuringRepartitionDegradesCleanly) {
   TempFileManager temp;
   GraceHashJoin join(&pscan, &bscan, /*bind_columns=*/1,
                      JoinTypeHash::kInner, /*memory_rows=*/64, &counters,
-                     &temp, kPartitions, FallbackPolicy::kPartition);
-  failpoint::Arm("tempfile.open", /*skip_first=*/2 * kPartitions);
+                     &temp, FallbackPolicy::kPartition);
+  failpoint::Arm("tempfile.open", /*skip_first=*/2 * kHashPartitions);
   DrainValidated(&join, /*check_codes=*/false);
-  EXPECT_GT(failpoint::Hits("tempfile.open"), 2 * kPartitions);
+  EXPECT_GT(failpoint::Hits("tempfile.open"), 2 * kHashPartitions);
   const Status error = temp.first_error();
   ASSERT_FALSE(error.ok());
   EXPECT_NE(error.ToString().find("injected"), std::string::npos)

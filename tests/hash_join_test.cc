@@ -105,7 +105,7 @@ TEST(GraceHashJoin, SpillsAndMatchesInMemoryResult) {
   TempFileManager temp;
   GraceHashJoin spilling(&pscan, &bscan, /*bind_columns=*/2,
                          JoinTypeHash::kInner, /*memory_rows=*/100,
-                         &spill_counters, &temp, /*partitions=*/8);
+                         &spill_counters, &temp, FallbackPolicy::kPartition);
   RowVec out_spill = DrainValidated(&spilling, /*check_codes=*/false);
   EXPECT_GT(spill_counters.rows_spilled, 0u);
 
@@ -113,7 +113,7 @@ TEST(GraceHashJoin, SpillsAndMatchesInMemoryResult) {
   QueryCounters mem_counters;
   GraceHashJoin resident(&pscan2, &bscan2, /*bind_columns=*/2,
                          JoinTypeHash::kInner, /*memory_rows=*/1 << 20,
-                         &mem_counters, &temp, /*partitions=*/8);
+                         &mem_counters, &temp);
   RowVec out_mem = DrainValidated(&resident, /*check_codes=*/false);
   EXPECT_EQ(mem_counters.rows_spilled, 0u);
 
@@ -136,7 +136,7 @@ TEST(GraceHashJoin, UnsplittableKeyFinishesBySortMerge) {
     QueryCounters spill_counters;
     GraceHashJoin spilling(&pscan, &bscan, /*bind_columns=*/1, type,
                            /*memory_rows=*/64, &spill_counters, &temp,
-                           /*partitions=*/16, FallbackPolicy::kPartition);
+                           FallbackPolicy::kPartition);
     RowVec out_spill = DrainValidated(&spilling, /*check_codes=*/false);
     EXPECT_GT(spill_counters.rows_spilled, 0u);
     EXPECT_EQ(spill_counters.hash_join_fallbacks, 1u);
@@ -184,7 +184,8 @@ TEST(HashAggregate, MatchesInStreamAggregate) {
   QueryCounters counters2;
   HashAggregate agg2(&scan2, /*group_prefix=*/3,
                      {{AggFn::kCount, 0}, {AggFn::kSum, 3}},
-                     /*memory_groups=*/16, &counters2, &temp);
+                     /*memory_groups=*/16, &counters2, &temp,
+                     FallbackPolicy::kPartition);
   RowVec out2 = DrainValidated(&agg2, /*check_codes=*/false);
   EXPECT_GT(counters2.rows_spilled, 0u);
 
@@ -213,7 +214,7 @@ TEST(HashAggregate, SortMergeFallbackCollapsesAtEveryStage) {
                      {AggFn::kSum, 2},
                      {AggFn::kMin, 2},
                      {AggFn::kMax, 2}},
-                    /*memory_groups=*/64, &counters, &temp, /*partitions=*/16,
+                    /*memory_groups=*/64, &counters, &temp,
                     FallbackPolicy::kSortMerge, sort_config);
   RowVec out = DrainValidated(&agg, /*check_codes=*/false);
   EXPECT_TRUE(temp.first_error().ok());

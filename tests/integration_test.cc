@@ -66,12 +66,12 @@ TEST(Figure5Plans, SortAndHashPlansAgree) {
   BufferScan scan3(&schema, &t1);
   BufferScan scan4(&schema, &t2);
   HashAggregate hdedup1(&scan3, /*group_prefix=*/2, {}, /*memory_groups=*/256,
-                        &hash_counters, &temp);
+                        &hash_counters, &temp, FallbackPolicy::kPartition);
   HashAggregate hdedup2(&scan4, /*group_prefix=*/2, {}, /*memory_groups=*/256,
-                        &hash_counters, &temp);
+                        &hash_counters, &temp, FallbackPolicy::kPartition);
   GraceHashJoin hjoin(&hdedup1, &hdedup2, /*bind_columns=*/2,
                       JoinTypeHash::kLeftSemi, /*memory_rows=*/256,
-                      &hash_counters, &temp);
+                      &hash_counters, &temp, FallbackPolicy::kPartition);
   RowVec hash_result = DrainValidated(&hjoin, /*check_codes=*/false);
 
   Canonicalize(&sort_result);
