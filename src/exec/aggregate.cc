@@ -1,7 +1,7 @@
 #include "exec/aggregate.h"
 
+#include <algorithm>
 #include <cstring>
-#include <limits>
 
 namespace ovc {
 
@@ -49,6 +49,28 @@ void MakeStateRow(const uint64_t* row, uint32_t group_prefix,
   }
 }
 
+void FoldStateRow(const uint64_t* row, uint32_t group_prefix,
+                  const std::vector<AggregateSpec>& aggregates,
+                  uint64_t* state) {
+  for (size_t a = 0; a < aggregates.size(); ++a) {
+    uint64_t& acc = state[group_prefix + a];
+    switch (aggregates[a].fn) {
+      case AggFn::kCount:
+        ++acc;
+        break;
+      case AggFn::kSum:
+        acc += row[aggregates[a].input_col];
+        break;
+      case AggFn::kMin:
+        acc = std::min(acc, row[aggregates[a].input_col]);
+        break;
+      case AggFn::kMax:
+        acc = std::max(acc, row[aggregates[a].input_col]);
+        break;
+    }
+  }
+}
+
 Schema InStreamAggregate::MakeOutputSchema(const Schema& in,
                                            uint32_t group_prefix,
                                            size_t num_aggregates) {
@@ -74,8 +96,7 @@ InStreamAggregate::InStreamAggregate(Operator* child, uint32_t group_prefix,
       out_codec_(&output_schema_),
       group_comparator_(&group_schema_, counters),
       options_(options),
-      group_row_(child->schema().total_columns(), 0),
-      agg_state_(aggregates_.size(), 0) {
+      state_(output_schema_.total_columns(), 0) {
   OVC_CHECK(group_prefix >= 1);
   OVC_CHECK(group_prefix <= child->schema().key_arity());
   OVC_CHECK(child->sorted());
@@ -102,52 +123,14 @@ bool InStreamAggregate::IsGroupBoundary(const RowRef& ref) {
   }
   // Baseline (Figure 4's expensive side): compare grouping columns of the
   // current row against the previous row.
-  return group_comparator_.FirstDifference(group_row_.data(), ref.cols, 0) <
+  return group_comparator_.FirstDifference(state_.data(), ref.cols, 0) <
          group_prefix_;
 }
 
 void InStreamAggregate::InitGroup(const RowRef& ref) {
-  std::memcpy(group_row_.data(), ref.cols,
-              child_.schema().total_columns() * sizeof(uint64_t));
+  MakeStateRow(ref.cols, group_prefix_, aggregates_, state_.data());
   group_code_ = ref.ovc;
-  group_rows_ = 0;
-  // Seed the aggregate accumulators.
-  for (size_t a = 0; a < aggregates_.size(); ++a) {
-    switch (aggregates_[a].fn) {
-      case AggFn::kCount:
-      case AggFn::kSum:
-        agg_state_[a] = 0;
-        break;
-      case AggFn::kMin:
-        agg_state_[a] = std::numeric_limits<uint64_t>::max();
-        break;
-      case AggFn::kMax:
-        agg_state_[a] = 0;
-        break;
-    }
-  }
   group_open_ = true;
-}
-
-void InStreamAggregate::Accumulate(const uint64_t* row) {
-  ++group_rows_;
-  for (size_t a = 0; a < aggregates_.size(); ++a) {
-    uint64_t& acc = agg_state_[a];
-    switch (aggregates_[a].fn) {
-      case AggFn::kCount:
-        ++acc;
-        break;
-      case AggFn::kSum:
-        acc += row[aggregates_[a].input_col];
-        break;
-      case AggFn::kMin:
-        acc = std::min(acc, row[aggregates_[a].input_col]);
-        break;
-      case AggFn::kMax:
-        acc = std::max(acc, row[aggregates_[a].input_col]);
-        break;
-    }
-  }
 }
 
 void InStreamAggregate::EmitGroup(RowBlock* out) {
@@ -155,13 +138,10 @@ void InStreamAggregate::EmitGroup(RowBlock* out) {
   // grouping arity ("output rows retain the offset-value codes of the first
   // row in each group"). Available whenever the input carries codes, even
   // when boundary detection runs in baseline mode.
-  uint64_t* dst = out->AppendRow(
-      has_ovc() ? in_codec_.ClampToPrefix(group_code_, group_prefix_,
-                                          out_codec_)
-                : 0);
-  std::memcpy(dst, group_row_.data(), group_prefix_ * sizeof(uint64_t));
-  std::memcpy(dst + group_prefix_, agg_state_.data(),
-              aggregates_.size() * sizeof(uint64_t));
+  out->Append(state_.data(),
+              has_ovc() ? in_codec_.ClampToPrefix(group_code_, group_prefix_,
+                                                  out_codec_)
+                        : 0);
   ++groups_;
 }
 
@@ -175,16 +155,14 @@ bool InStreamAggregate::AppendNext(RowBlock* out) {
   while (child_.Next(&ref)) {
     if (!group_open_) {
       InitGroup(ref);
-      Accumulate(ref.cols);
       continue;
     }
     if (IsGroupBoundary(ref)) {
       EmitGroup(out);
       InitGroup(ref);
-      Accumulate(ref.cols);
       return true;
     }
-    Accumulate(ref.cols);
+    FoldStateRow(ref.cols, group_prefix_, aggregates_, state_.data());
   }
   input_done_ = true;
   if (group_open_) {

@@ -43,8 +43,17 @@ std::vector<StateMergeFn> StateMergeFns(
 /// its first `group_prefix` columns, then one accumulator per aggregate (a
 /// count contributes 1, every other aggregate its input column). State rows
 /// of the same group fold with MergeStateRow and StateMergeFns(aggregates);
-/// this is how the sort-based aggregates feed a collapsing sort.
+/// this is how the sort-based aggregates feed a collapsing sort. Every
+/// strategy seeds a group's state this way.
 void MakeStateRow(const uint64_t* row, uint32_t group_prefix,
+                  const std::vector<AggregateSpec>& aggregates,
+                  uint64_t* state);
+
+/// Folds the input row `row` into `state`, the state row of its group:
+/// the same result as merging MakeStateRow(row) into it, without the
+/// intermediate row. How the in-stream and hash aggregates add every row
+/// after a group's first.
+void FoldStateRow(const uint64_t* row, uint32_t group_prefix,
                   const std::vector<AggregateSpec>& aggregates,
                   uint64_t* state);
 
@@ -88,8 +97,8 @@ class InStreamAggregate : public Operator {
   uint64_t groups() const { return groups_; }
 
  private:
+  /// Starts a group at `ref`: seeds the state row and keeps the code.
   void InitGroup(const RowRef& ref);
-  void Accumulate(const uint64_t* row);
   void EmitGroup(RowBlock* out);
   bool IsGroupBoundary(const RowRef& ref);
   /// Appends the next group's output row to `out`; false at end of stream.
@@ -105,10 +114,10 @@ class InStreamAggregate : public Operator {
   KeyComparator group_comparator_;
   Options options_;
 
-  std::vector<uint64_t> group_row_;   // current group's first input row
-  std::vector<uint64_t> agg_state_;   // running aggregate accumulators
+  /// The current group's state row in the output layout: its group
+  /// columns (the baseline compares them), then the accumulators.
+  std::vector<uint64_t> state_;
   Ovc group_code_ = 0;  // first-in-group input code
-  uint64_t group_rows_ = 0;
   bool group_open_ = false;
   bool input_done_ = false;
   uint64_t groups_ = 0;

@@ -1,13 +1,10 @@
 #include "exec/hash_aggregate.h"
 
-#include <cstring>
-#include <limits>
+#include <utility>
 
 #include "common/failpoint.h"
 #include "common/metrics.h"
 #include "common/trace.h"
-#include "exec/hash_join.h"  // HashKeyPrefix
-#include "sort/run_file.h"
 
 namespace ovc {
 
@@ -26,9 +23,7 @@ HashAggregate::HashAggregate(Operator* child, uint32_t group_prefix,
           child->schema(), group_prefix, aggregates_.size())),
       counters_(counters),
       temp_(temp),
-      group_states_(group_prefix + std::max<uint32_t>(
-                                       1, static_cast<uint32_t>(
-                                              aggregates_.size()))),
+      group_states_(output_schema_.total_columns()),
       output_queue_(output_schema_.total_columns()),
       merge_fns_(StateMergeFns(aggregates_)) {
   OVC_CHECK(group_prefix >= 1);
@@ -36,59 +31,13 @@ HashAggregate::HashAggregate(Operator* child, uint32_t group_prefix,
   OVC_CHECK(memory_groups >= 1);
 }
 
-void HashAggregate::SeedGroup(uint64_t* group_state) {
-  for (size_t a = 0; a < aggregates_.size(); ++a) {
-    switch (aggregates_[a].fn) {
-      case AggFn::kCount:
-      case AggFn::kSum:
-        group_state[group_prefix_ + a] = 0;
-        break;
-      case AggFn::kMin:
-        group_state[group_prefix_ + a] = std::numeric_limits<uint64_t>::max();
-        break;
-      case AggFn::kMax:
-        group_state[group_prefix_ + a] = 0;
-        break;
-    }
-  }
-}
-
-void HashAggregate::AccumulateInto(uint64_t* group_state,
-                                   const uint64_t* row) {
-  for (size_t a = 0; a < aggregates_.size(); ++a) {
-    uint64_t& acc = group_state[group_prefix_ + a];
-    switch (aggregates_[a].fn) {
-      case AggFn::kCount:
-        ++acc;
-        break;
-      case AggFn::kSum:
-        acc += row[aggregates_[a].input_col];
-        break;
-      case AggFn::kMin:
-        acc = std::min(acc, row[aggregates_[a].input_col]);
-        break;
-      case AggFn::kMax:
-        acc = std::max(acc, row[aggregates_[a].input_col]);
-        break;
-    }
-  }
-}
-
 bool HashAggregate::TryAccumulate(const uint64_t* row) {
   const uint64_t h = HashKeyPrefix(row, group_prefix_, counters_);
   auto range = table_.equal_range(h);
   for (auto it = range.first; it != range.second; ++it) {
     uint64_t* state = group_states_.mutable_row(it->second);
-    bool equal = true;
-    for (uint32_t c = 0; c < group_prefix_; ++c) {
-      if (counters_ != nullptr) ++counters_->column_comparisons;
-      if (state[c] != row[c]) {
-        equal = false;
-        break;
-      }
-    }
-    if (equal) {
-      AccumulateInto(state, row);
+    if (KeysEqual(state, row, group_prefix_, counters_)) {
+      FoldStateRow(row, group_prefix_, aggregates_, state);
       return true;
     }
   }
@@ -96,36 +45,16 @@ bool HashAggregate::TryAccumulate(const uint64_t* row) {
       OVC_FAILPOINT("hash_aggregate.force_overflow")) {
     return false;  // table full, group absent
   }
-  uint64_t* state = group_states_.AppendRow();
-  std::memcpy(state, row, group_prefix_ * sizeof(uint64_t));
-  SeedGroup(state);
-  AccumulateInto(state, row);
+  MakeStateRow(row, group_prefix_, aggregates_, group_states_.AppendRow());
   table_.emplace(h, static_cast<uint32_t>(group_states_.size() - 1));
   return true;
 }
 
 void HashAggregate::FlushTableToQueue() {
-  for (size_t i = 0; i < group_states_.size(); ++i) {
-    const uint64_t* state = group_states_.row(i);
-    uint64_t* dst = output_queue_.AppendRow();
-    std::memcpy(dst, state, group_prefix_ * sizeof(uint64_t));
-    for (size_t a = 0; a < aggregates_.size(); ++a) {
-      dst[group_prefix_ + a] = state[group_prefix_ + a];
-    }
-  }
+  // State rows are output rows: hand the table's buffer to the queue.
+  std::swap(output_queue_, group_states_);
   group_states_.Clear();
   table_.clear();
-}
-
-uint32_t HashAggregate::PartitionOf(const uint64_t* row, uint32_t level) {
-  uint64_t h = HashKeyPrefix(row, group_prefix_, counters_);
-  // Salt by level so that recursive repartitioning separates keys that
-  // collided at the previous level.
-  h ^= 0x9e3779b97f4a7c15ULL * (level + 1);
-  h ^= h >> 29;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 32;
-  return static_cast<uint32_t>(h % kHashPartitions);
 }
 
 void HashAggregate::BeginSortMergeFallback() {
@@ -140,9 +69,6 @@ void HashAggregate::BeginSortMergeFallback() {
       .Increment();
   fb_sort_ = std::make_unique<ExternalSort>(&output_schema_, counters_, temp_,
                                             sort_config_, &merge_fns_);
-  // Resident rows are wider than state rows when there are no aggregates
-  // (the table pads to one accumulator column); Add copies exactly the
-  // state schema's columns, so passing the wider row is safe.
   for (size_t i = 0; i < group_states_.size(); ++i) {
     fb_sort_->Add(group_states_.row(i));
   }
@@ -171,10 +97,8 @@ void HashAggregate::Open() {
   failed_ = false;
   fb_sort_.reset();
 
-  const Schema& in = child_->schema();
-  OvcCodec codec(&in);
-  std::vector<std::unique_ptr<RunFileWriter>> writers;
-  std::vector<std::string> paths;
+  PartitionWriters parts(&child_->schema(), group_prefix_, "hagg-part",
+                         counters_, temp_);
   BlockReader input(child_);
   input.Open();
   RowRef ref;
@@ -189,26 +113,11 @@ void HashAggregate::Open() {
       AddInputRowToFallback(ref.cols);
       continue;
     }
-    // Spill path: route the row to its hash partition.
-    if (writers.empty()) {
-      writers.resize(kHashPartitions);
-      paths.resize(kHashPartitions);
-      for (uint32_t p = 0; p < kHashPartitions; ++p) {
-        writers[p] = std::make_unique<RunFileWriter>(&in, counters_);
-        paths[p] = temp_->NewPath("hagg-part");
-        Status st = writers[p]->Open(paths[p]);
-        if (!st.ok()) {
-          input.Close();
-          Degrade(st);
-          return;
-        }
-      }
-    }
-    const uint32_t p = PartitionOf(ref.cols, /*level=*/0);
-    Status st = writers[p]->Append(ref.cols, codec.MakeFromRow(ref.cols, 0));
-    if (!st.ok()) {
+    // Spill path: route the row to its hash partition (the first spilled
+    // row creates the files).
+    if (!parts.Append(ref.cols, /*level=*/0)) {
       input.Close();
-      Degrade(st);
+      Degrade(parts.status());
       return;
     }
   }
@@ -218,15 +127,18 @@ void HashAggregate::Open() {
     if (!st.ok()) Degrade(st);
     return;
   }
-  for (uint32_t p = 0; p < writers.size(); ++p) {
-    Status st = writers[p]->Close();
-    if (!st.ok()) {
-      Degrade(st);
-      return;
+  if (QueueSpill(&parts, /*level=*/1)) FlushTableToQueue();
+}
+
+bool HashAggregate::QueueSpill(PartitionWriters* parts, uint32_t level) {
+  for (uint32_t p = 0; p < parts->opened(); ++p) {
+    if (!parts->Close(p)) {
+      Degrade(parts->status());
+      return false;
     }
-    pending_partitions_.push_back(PendingPartition{paths[p], 1});
+    pending_partitions_.push_back(PendingPartition{parts->path(p), level});
   }
-  FlushTableToQueue();
+  return true;
 }
 
 bool HashAggregate::ProcessNextPartition() {
@@ -236,42 +148,25 @@ bool HashAggregate::ProcessNextPartition() {
     // Runaway-recursion guard: with level-salted partitioning, each level
     // divides distinct keys by the fan-out; eight levels cover any input.
     OVC_CHECK(pending.level <= 8);
-    output_queue_.Clear();
     queue_pos_ = 0;
 
-    const Schema& in = child_->schema();
-    OvcCodec codec(&in);
-    std::vector<std::unique_ptr<RunFileWriter>> writers;
-    std::vector<std::string> paths;
-    RunFileReader reader(&in, temp_);
+    PartitionWriters parts(&child_->schema(), group_prefix_, "hagg-part",
+                           counters_, temp_);
+    RunFileReader reader(&child_->schema(), temp_);
     Status st = reader.Open(pending.path);
     const uint64_t* row = nullptr;
     Ovc code = 0;
     while (st.ok() && reader.Next(&row, &code)) {
-      if (TryAccumulate(row)) continue;
       // Still too many groups: repartition recursively.
-      if (writers.empty()) {
-        writers.resize(kHashPartitions);
-        paths.resize(kHashPartitions);
-        for (uint32_t p = 0; p < kHashPartitions && st.ok(); ++p) {
-          writers[p] = std::make_unique<RunFileWriter>(&in, counters_);
-          paths[p] = temp_->NewPath("hagg-part");
-          st = writers[p]->Open(paths[p]);
-        }
-        if (!st.ok()) break;
+      if (!TryAccumulate(row) && !parts.Append(row, pending.level)) {
+        st = parts.status();
       }
-      const uint32_t p = PartitionOf(row, pending.level);
-      st = writers[p]->Append(row, codec.MakeFromRow(row, 0));
-    }
-    for (uint32_t p = 0; p < writers.size() && st.ok(); ++p) {
-      st = writers[p]->Close();
-      pending_partitions_.push_back(
-          PendingPartition{paths[p], pending.level + 1});
     }
     if (!st.ok()) {
       Degrade(st);
       return false;
     }
+    if (!QueueSpill(&parts, pending.level + 1)) return false;
     FlushTableToQueue();
     if (output_queue_.size() > 0) return true;
   }

@@ -19,10 +19,10 @@
 #include "common/temp_file.h"
 #include "exec/aggregate.h"
 #include "exec/fallback_policy.h"
+#include "exec/hash_join.h"
 #include "exec/operator.h"
 #include "row/row_buffer.h"
 #include "sort/external_sort.h"
-#include "sort/run_file.h"
 
 namespace ovc {
 
@@ -59,14 +59,12 @@ class HashAggregate : public Operator {
   /// Accumulates `row` into the resident table; false when the table is
   /// full and the row's group is absent.
   bool TryAccumulate(const uint64_t* row);
-  void SeedGroup(uint64_t* group_state);
-  void AccumulateInto(uint64_t* group_state, const uint64_t* row);
-  /// Moves the resident table's groups into the output queue.
+  /// Moves the resident table's groups into the (empty) output queue.
   void FlushTableToQueue();
   bool ProcessNextPartition();
-  /// Hash partition of `row` at recursion `level` (level-salted so that
-  /// recursive repartitioning actually splits a partition's keys).
-  uint32_t PartitionOf(const uint64_t* row, uint32_t level);
+  /// Closes a finished spill's files and queues them at `level`; false
+  /// (degraded) on a failed close.
+  bool QueueSpill(PartitionWriters* parts, uint32_t level);
 
   /// kSortMerge overflow path: moves the resident partial-aggregate state
   /// rows into a collapsing ExternalSort over the output schema.
@@ -86,8 +84,9 @@ class HashAggregate : public Operator {
   QueryCounters* counters_;
   TempFileManager* temp_;
 
-  // Resident table: group key hash -> index into group_states_ (rows of
-  // group key columns followed by aggregate accumulators).
+  // Resident table: group key hash -> index into group_states_ (state
+  // rows in the output layout: group key columns, then one accumulator per
+  // aggregate).
   std::unordered_multimap<uint64_t, uint32_t> table_;
   RowBuffer group_states_;
 

@@ -25,9 +25,6 @@ uint64_t HashKeyPrefix(const uint64_t* row, uint32_t columns,
   return h;
 }
 
-namespace {
-
-/// Raw column equality on the first `columns` columns (counted).
 bool KeysEqual(const uint64_t* a, const uint64_t* b, uint32_t columns,
                QueryCounters* counters) {
   for (uint32_t c = 0; c < columns; ++c) {
@@ -37,12 +34,78 @@ bool KeysEqual(const uint64_t* a, const uint64_t* b, uint32_t columns,
   return true;
 }
 
-/// Rows appended to all of `writers` -- one split's partitions.
-uint64_t TotalRows(
-    const std::vector<std::unique_ptr<RunFileWriter>>& writers) {
+PartitionWriters::PartitionWriters(const Schema* schema, uint32_t key_columns,
+                                   const char* tag, QueryCounters* counters,
+                                   TempFileManager* temp)
+    : schema_(schema),
+      key_columns_(key_columns),
+      tag_(tag),
+      counters_(counters),
+      temp_(temp),
+      codec_(schema) {}
+
+bool PartitionWriters::OpenNext() {
+  if (!ok()) return false;
+  paths_.push_back(temp_->NewPath(tag_));
+  writers_.push_back(std::make_unique<RunFileWriter>(schema_, counters_));
+  return Record(writers_.back()->Open(paths_.back()));
+}
+
+bool PartitionWriters::OpenAll() {
+  while (opened() < kHashPartitions) {
+    if (!OpenNext()) return false;
+  }
+  return true;
+}
+
+bool PartitionWriters::Append(const uint64_t* row, uint32_t level) {
+  if (!ok() || (writers_.empty() && !OpenAll())) return false;
+  uint64_t h = HashKeyPrefix(row, key_columns_, counters_);
+  h ^= 0x9e3779b97f4a7c15ULL * (level + 1);
+  h ^= h >> 29;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  h ^= h >> 32;
+  return Record(writers_[h % kHashPartitions]->Append(
+      row, codec_.MakeFromRow(row, 0)));
+}
+
+bool PartitionWriters::Close(uint32_t p) {
+  return ok() && Record(writers_[p]->Close());
+}
+
+uint64_t PartitionWriters::total_rows() const {
   uint64_t rows = 0;
-  for (const std::unique_ptr<RunFileWriter>& w : writers) rows += w->rows();
+  for (const std::unique_ptr<RunFileWriter>& w : writers_) rows += w->rows();
   return rows;
+}
+
+bool PartitionWriters::Record(Status status) {
+  if (ok()) status_ = std::move(status);
+  return ok();
+}
+
+namespace {
+
+/// Output layout of a hash join: the probe rows for semi and anti joins;
+/// otherwise probe keys, probe payloads, all build columns (as payload)
+/// and the match indicator.
+Schema HashJoinOutputSchema(const Schema& probe, const Schema& build,
+                            JoinTypeHash type) {
+  if (type == JoinTypeHash::kLeftSemi || type == JoinTypeHash::kLeftAnti) {
+    return probe;
+  }
+  std::vector<SortDirection> dirs;
+  for (uint32_t c = 0; c < probe.key_arity(); ++c) {
+    dirs.push_back(probe.direction(c));
+  }
+  return Schema(std::move(dirs),
+                probe.payload_columns() + build.total_columns() + 1);
+}
+
+/// The first failure of a split's two sides (Ok when both are fine).
+Status FirstError(const PartitionWriters& build,
+                  const PartitionWriters& probe) {
+  return build.ok() ? probe.status() : build.status();
 }
 
 /// Operator facade over a finished ExternalSort: a sorted, coded stream
@@ -76,18 +139,6 @@ Schema BindPrefixSchema(const Schema& probe, uint32_t total_columns,
 
 }  // namespace
 
-Schema OrderPreservingHashJoin::MakeOutputSchema() const {
-  const Schema& ps = probe_.schema();
-  if (type_ == JoinTypeHash::kLeftSemi || type_ == JoinTypeHash::kLeftAnti) {
-    return ps;
-  }
-  std::vector<SortDirection> dirs;
-  for (uint32_t c = 0; c < ps.key_arity(); ++c) dirs.push_back(ps.direction(c));
-  // Probe keys, probe payloads, all build columns, indicator.
-  return Schema(std::move(dirs), ps.payload_columns() +
-                                     build_->schema().total_columns() + 1);
-}
-
 OrderPreservingHashJoin::OrderPreservingHashJoin(
     Operator* probe, Operator* build, uint32_t bind_columns, JoinTypeHash type,
     uint64_t memory_rows, QueryCounters* counters)
@@ -96,7 +147,8 @@ OrderPreservingHashJoin::OrderPreservingHashJoin(
       bind_columns_(bind_columns),
       type_(type),
       memory_rows_(memory_rows),
-      output_schema_(MakeOutputSchema()),
+      output_schema_(
+          HashJoinOutputSchema(probe->schema(), build->schema(), type)),
       probe_codec_(&probe->schema()),
       counters_(counters),
       build_rows_(build->schema().total_columns()) {
@@ -218,17 +270,6 @@ bool OrderPreservingHashJoin::AppendNext(RowBlock* out) {
 
 void OrderPreservingHashJoin::Close() { probe_.Close(); }
 
-Schema GraceHashJoin::MakeOutputSchema() const {
-  const Schema& ps = probe_->schema();
-  if (type_ == JoinTypeHash::kLeftSemi || type_ == JoinTypeHash::kLeftAnti) {
-    return ps;
-  }
-  std::vector<SortDirection> dirs;
-  for (uint32_t c = 0; c < ps.key_arity(); ++c) dirs.push_back(ps.direction(c));
-  return Schema(std::move(dirs), ps.payload_columns() +
-                                     build_->schema().total_columns() + 1);
-}
-
 GraceHashJoin::GraceHashJoin(Operator* probe, Operator* build,
                              uint32_t bind_columns, JoinTypeHash type,
                              uint64_t memory_rows, QueryCounters* counters,
@@ -241,21 +282,13 @@ GraceHashJoin::GraceHashJoin(Operator* probe, Operator* build,
       memory_rows_(memory_rows),
       fallback_(fallback),
       sort_config_(sort_config),
-      output_schema_(MakeOutputSchema()),
+      output_schema_(
+          HashJoinOutputSchema(probe->schema(), build->schema(), type)),
       counters_(counters),
       temp_(temp),
       resident_build_(build->schema().total_columns()),
       output_queue_(output_schema_.total_columns()) {
   OVC_CHECK(type == JoinTypeHash::kInner || type == JoinTypeHash::kLeftSemi);
-}
-
-uint32_t GraceHashJoin::PartitionOf(const uint64_t* row, uint32_t level) {
-  uint64_t h = HashKeyPrefix(row, bind_columns_, counters_);
-  h ^= 0x9e3779b97f4a7c15ULL * (level + 1);
-  h ^= h >> 29;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 32;
-  return static_cast<uint32_t>(h % kHashPartitions);
 }
 
 void GraceHashJoin::JoinResident(const RowBuffer& build,
@@ -387,8 +420,8 @@ void GraceHashJoin::Open() {
   build.Open();
   RowRef ref;
   bool build_fits = true;
-  std::vector<std::unique_ptr<RunFileWriter>> build_writers;
-  std::vector<std::string> build_paths;
+  PartitionWriters build_parts(&build_->schema(), bind_columns_, "ghj-build",
+                               counters_, temp_);
   while (build.Next(&ref)) {
     if (build_fits &&
         (resident_build_.size() >= memory_rows_ ||
@@ -398,29 +431,8 @@ void GraceHashJoin::Open() {
         BeginSortMergeFallback();
       } else {
         // Overflow: re-partition what is already resident, then continue.
-        build_writers.resize(kHashPartitions);
-        build_paths.resize(kHashPartitions);
-        for (uint32_t p = 0; p < kHashPartitions; ++p) {
-          build_writers[p] =
-              std::make_unique<RunFileWriter>(&build_->schema(), counters_);
-          build_paths[p] = temp_->NewPath("ghj-build");
-          Status st = build_writers[p]->Open(build_paths[p]);
-          if (!st.ok()) {
-            build.Close();
-            Degrade(st);
-            return;
-          }
-        }
-        OvcCodec codec(&build_->schema());
         for (size_t i = 0; i < resident_build_.size(); ++i) {
-          const uint64_t* row = resident_build_.row(i);
-          const uint32_t p = PartitionOf(row, /*level=*/0);
-          Status st = build_writers[p]->Append(row, codec.MakeFromRow(row, 0));
-          if (!st.ok()) {
-            build.Close();
-            Degrade(st);
-            return;
-          }
+          build_parts.Append(resident_build_.row(i), /*level=*/0);
         }
         resident_build_.Clear();
       }
@@ -431,16 +443,10 @@ void GraceHashJoin::Open() {
       resident_build_.AppendRow(ref.cols);
     } else if (fell_back_) {
       fb_build_sort_->Add(ref.cols);
-    } else {
-      OvcCodec codec(&build_->schema());
-      const uint32_t p = PartitionOf(ref.cols, /*level=*/0);
-      Status st =
-          build_writers[p]->Append(ref.cols, codec.MakeFromRow(ref.cols, 0));
-      if (!st.ok()) {
-        build.Close();
-        Degrade(st);
-        return;
-      }
+    } else if (!build_parts.Append(ref.cols, /*level=*/0)) {
+      build.Close();
+      Degrade(build_parts.status());
+      return;
     }
   }
   build.Close();
@@ -468,94 +474,65 @@ void GraceHashJoin::Open() {
     return;
   }
 
-  // Partition the probe side the same way.
-  std::vector<std::unique_ptr<RunFileWriter>> probe_writers(kHashPartitions);
-  std::vector<std::string> probe_paths(kHashPartitions);
-  for (uint32_t p = 0; p < kHashPartitions; ++p) {
-    probe_writers[p] =
-        std::make_unique<RunFileWriter>(&probe_->schema(), counters_);
-    probe_paths[p] = temp_->NewPath("ghj-probe");
-    Status st = probe_writers[p]->Open(probe_paths[p]);
-    if (!st.ok()) {
-      probe.Close();
-      Degrade(st);
-      return;
-    }
-  }
-  OvcCodec probe_codec(&probe_->schema());
-  while (probe.Next(&ref)) {
-    const uint32_t p = PartitionOf(ref.cols, /*level=*/0);
-    Status st =
-        probe_writers[p]->Append(ref.cols, probe_codec.MakeFromRow(ref.cols, 0));
-    if (!st.ok()) {
-      probe.Close();
-      Degrade(st);
-      return;
-    }
+  // Partition the probe side the same way; an empty one still gets its
+  // files, so every pair has both.
+  PartitionWriters probe_parts(&probe_->schema(), bind_columns_, "ghj-probe",
+                               counters_, temp_);
+  probe_parts.OpenAll();
+  while (probe_parts.ok() && probe.Next(&ref)) {
+    probe_parts.Append(ref.cols, /*level=*/0);
   }
   probe.Close();
-  const uint64_t build_rows = TotalRows(build_writers);
-  for (uint32_t p = 0; p < kHashPartitions; ++p) {
-    Status st = build_writers[p]->Close();
-    if (st.ok()) st = probe_writers[p]->Close();
-    if (!st.ok()) {
-      Degrade(st);
-      return;
-    }
-    pending_.push_back(PartitionPair{probe_paths[p], build_paths[p], 1,
-                                     build_writers[p]->rows() == build_rows});
-  }
+  QueueSplit(&build_parts, &probe_parts, /*level=*/1);
   resident_build_.Clear();
   table_.clear();
 }
 
-void GraceHashJoin::Repartition(const PartitionPair& pair) {
-  // Too many build rows collided into this partition: split it (and its
-  // probe counterpart) with the next level's salted hash.
-  const Schema& bs = build_->schema();
-  const Schema& ps = probe_->schema();
-  OvcCodec bcodec(&bs), pcodec(&ps);
-  std::vector<PartitionPair> subs(kHashPartitions);
-  std::vector<std::unique_ptr<RunFileWriter>> bw(kHashPartitions),
-      pw(kHashPartitions);
-  Status st = Status::Ok();
-  for (uint32_t p = 0; p < kHashPartitions && st.ok(); ++p) {
-    subs[p].level = pair.level + 1;
-    subs[p].build_path = temp_->NewPath("ghj-build");
-    subs[p].probe_path = temp_->NewPath("ghj-probe");
-    bw[p] = std::make_unique<RunFileWriter>(&bs, counters_);
-    pw[p] = std::make_unique<RunFileWriter>(&ps, counters_);
-    st = bw[p]->Open(subs[p].build_path);
-    if (st.ok()) st = pw[p]->Open(subs[p].probe_path);
+void GraceHashJoin::QueueSplit(PartitionWriters* build,
+                               PartitionWriters* probe, uint32_t level) {
+  const uint64_t build_rows = build->total_rows();
+  for (uint32_t p = 0; p < kHashPartitions; ++p) {
+    if (!build->Close(p) || !probe->Close(p)) break;
+    pending_.push_back(PartitionPair{probe->path(p), build->path(p), level,
+                                     build->rows(p) == build_rows});
   }
+  const Status st = FirstError(*build, *probe);
+  if (!st.ok()) Degrade(st);
+}
+
+bool GraceHashJoin::SplitRun(const std::string& path, uint32_t level,
+                             PartitionWriters* parts) {
+  RunFileReader reader(&parts->schema(), temp_);
+  Status st = reader.Open(path);
   const uint64_t* row = nullptr;
   Ovc code = 0;
-  if (st.ok()) {
-    RunFileReader build_reader(&bs, temp_);
-    st = build_reader.Open(pair.build_path);
-    while (st.ok() && build_reader.Next(&row, &code)) {
-      const uint32_t p = PartitionOf(row, pair.level);
-      st = bw[p]->Append(row, bcodec.MakeFromRow(row, 0));
-    }
-  }
-  if (st.ok()) {
-    RunFileReader probe_reader(&ps, temp_);
-    st = probe_reader.Open(pair.probe_path);
-    while (st.ok() && probe_reader.Next(&row, &code)) {
-      const uint32_t p = PartitionOf(row, pair.level);
-      st = pw[p]->Append(row, pcodec.MakeFromRow(row, 0));
-    }
-  }
-  // Only when every writer opened: a failed Open leaves later ones null.
-  const uint64_t build_rows = st.ok() ? TotalRows(bw) : 0;
-  for (uint32_t p = 0; p < kHashPartitions && st.ok(); ++p) {
-    st = bw[p]->Close();
-    if (st.ok()) st = pw[p]->Close();
-    if (!st.ok()) break;
-    subs[p].unsplittable = bw[p]->rows() == build_rows;
-    pending_.push_back(subs[p]);
+  while (st.ok() && reader.Next(&row, &code)) {
+    if (!parts->Append(row, level)) st = parts->status();
   }
   if (!st.ok()) Degrade(st);
+  return st.ok();
+}
+
+void GraceHashJoin::Repartition(const PartitionPair& pair) {
+  // Too many build rows collided into this partition: split it (and its
+  // probe counterpart) with the next level's salted hash. The sub-pairs'
+  // files are created pairwise, in partition order.
+  PartitionWriters build(&build_->schema(), bind_columns_, "ghj-build",
+                         counters_, temp_);
+  PartitionWriters probe(&probe_->schema(), bind_columns_, "ghj-probe",
+                         counters_, temp_);
+  for (uint32_t p = 0; p < kHashPartitions; ++p) {
+    if (!build.OpenNext() || !probe.OpenNext()) break;
+  }
+  const Status st = FirstError(build, probe);
+  if (!st.ok()) {
+    Degrade(st);
+    return;
+  }
+  if (SplitRun(pair.build_path, pair.level, &build) &&
+      SplitRun(pair.probe_path, pair.level, &probe)) {
+    QueueSplit(&build, &probe, pair.level + 1);
+  }
 }
 
 bool GraceHashJoin::ProcessNextPartition() {

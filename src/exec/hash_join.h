@@ -28,10 +28,9 @@
 #include "exec/operator.h"
 #include "row/row_buffer.h"
 #include "sort/external_sort.h"
+#include "sort/run_file.h"
 
 namespace ovc {
-
-class RunFileReader;
 
 /// Join flavors supported by the hash joins (probe side is "left").
 enum class JoinTypeHash { kInner, kLeftOuter, kLeftSemi, kLeftAnti };
@@ -42,6 +41,59 @@ inline constexpr uint32_t kHashPartitions = 16;
 /// Hashes the first `columns` columns of `row` (counted in `counters`).
 uint64_t HashKeyPrefix(const uint64_t* row, uint32_t columns,
                        QueryCounters* counters);
+
+/// Raw column equality on the first `columns` columns; each column looked
+/// at counts one column comparison.
+bool KeysEqual(const uint64_t* a, const uint64_t* b, uint32_t columns,
+               QueryCounters* counters);
+
+/// One grace split: kHashPartitions run files of `schema` rows, each row
+/// routed by a level-salted hash of its first `key_columns` columns (the
+/// salt makes a re-split separate keys that shared a partition one level
+/// up). Files are created in partition order, by OpenNext/OpenAll or, if
+/// none is open yet, by the first Append. The first failed open, append or
+/// close is kept in status(); every later call then does nothing and
+/// returns false.
+class PartitionWriters {
+ public:
+  /// `tag` names the temp files; `schema` must outlive the set.
+  PartitionWriters(const Schema* schema, uint32_t key_columns,
+                   const char* tag, QueryCounters* counters,
+                   TempFileManager* temp);
+
+  /// Creates and opens the next partition's file.
+  bool OpenNext();
+  /// Creates and opens every partition's file not open yet.
+  bool OpenAll();
+  /// Appends `row` to the partition of its level-`level` hash.
+  bool Append(const uint64_t* row, uint32_t level);
+  /// Closes partition `p`'s file.
+  bool Close(uint32_t p);
+
+  const Status& status() const { return status_; }
+  bool ok() const { return status_.ok(); }
+  const Schema& schema() const { return *schema_; }
+  /// Partitions whose file has been created (0 until the first open).
+  uint32_t opened() const { return static_cast<uint32_t>(writers_.size()); }
+  const std::string& path(uint32_t p) const { return paths_[p]; }
+  uint64_t rows(uint32_t p) const { return writers_[p]->rows(); }
+  /// Rows appended to the whole split.
+  uint64_t total_rows() const;
+
+ private:
+  /// Keeps `status` if it is the first failure; returns ok().
+  bool Record(Status status);
+
+  const Schema* schema_;
+  uint32_t key_columns_;
+  const char* tag_;
+  QueryCounters* counters_;
+  TempFileManager* temp_;
+  OvcCodec codec_;
+  std::vector<std::string> paths_;
+  std::vector<std::unique_ptr<RunFileWriter>> writers_;
+  Status status_;
+};
 
 /// Order-preserving in-memory hash join: probe (left) input sorted with
 /// codes; build (right) input fully resident.
@@ -65,7 +117,6 @@ class OrderPreservingHashJoin : public Operator {
   bool has_ovc() const override { return true; }
 
  private:
-  Schema MakeOutputSchema() const;
   void BuildTable();
   /// Appends the next output row to `out`; false at end of stream.
   bool AppendNext(RowBlock* out);
@@ -146,16 +197,21 @@ class GraceHashJoin : public Operator {
   /// finishes by sort+merge.
   static constexpr uint32_t kMaxPartitionLevel = 8;
 
-  Schema MakeOutputSchema() const;
   /// Joins one resident (build RowBuffer) against a probe iterator.
   void JoinResident(const RowBuffer& build, const uint64_t* probe_row);
   /// Loads the next pending pair and queues its output (or stands up its
   /// sort+merge continuation); false when no pair produced anything.
   bool ProcessNextPartition();
-  /// Level-salted hash partition (recursion splits colliding keys).
-  uint32_t PartitionOf(const uint64_t* row, uint32_t level);
   /// Splits a partition pair into kHashPartitions sub-pairs at level+1.
   void Repartition(const PartitionPair& pair);
+  /// Routes every row of run file `path` through `parts` at `level`; false
+  /// (degraded) when the file cannot be read or a write fails.
+  bool SplitRun(const std::string& path, uint32_t level,
+                PartitionWriters* parts);
+  /// Closes a finished split's files pair by pair and queues the pairs at
+  /// `level`; degrades on the first failure of either side.
+  void QueueSplit(PartitionWriters* build, PartitionWriters* probe,
+                  uint32_t level);
 
   /// Sort+merge continuation, step 1: counts the fallback and moves the
   /// resident build rows into an ExternalSort keyed on the bind columns
