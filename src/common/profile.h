@@ -190,6 +190,8 @@ class QueryProfile {
   /// Adds a node over the already added `children`; returns its index.
   int AddNode(std::string label, double est_rows, double est_cost,
               std::vector<int> children, std::string table = std::string());
+  /// Sets `node`'s row estimate to `rows`.
+  void SetEstRows(int node, double rows) { nodes_[node].est_rows = rows; }
   /// Allocates one per-thread stats slice under `node`.
   OperatorStats* AddSlice(int node);
   void SetRoot(int node) { root_ = node; }

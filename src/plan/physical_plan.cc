@@ -515,6 +515,11 @@ int PhysicalPlan::AddLine(PhysicalAlg alg, const std::string& detail,
   return line;
 }
 
+void PhysicalPlan::CapLineRows(int line, double rows) {
+  lines_[line].est.rows = rows;
+  if (profile_) profile_->SetEstRows(line, rows);
+}
+
 OrderProperty InferOrderProperty(const LogicalNode& node,
                                  const PlannerOptions& options) {
   OrderProperty child_props[2];
@@ -677,7 +682,7 @@ Planner::Built Planner::BuildExchangeRegion(
   if (workers > plan->parallel_workers_) plan->parallel_workers_ = workers;
   Built region;
   region.prop = out_prop;
-  region.est = {WithinLimit(out_rows, top),
+  region.est = {out_rows,
                 worker_est.cost + cost_model_.MergeExchange(out_rows, workers)};
   region.line = plan->AddLine(PhysicalAlg::kMergeExchange,
                               std::to_string(workers) + " workers", out_prop,
@@ -931,7 +936,7 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
         break;
       }
       result.prop = d.out;
-      result.est = {WithinLimit(out_rows, top), child.est.cost + alg_cost};
+      result.est = {out_rows, child.est.cost + alg_cost};
       result.line = plan->AddLine(d.alg, group, result.prop, result.est,
                                   {child.line});
       const Meter m = NewMeter(plan, result.line, ctrs);
@@ -991,7 +996,7 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
       // others do not take a limit.
       const uint64_t top = d.alg == PhysicalAlg::kInSortDistinct ? limit : 0;
       result.prop = d.out;
-      result.est = {WithinLimit(out_rows, top), child.est.cost + alg_cost};
+      result.est = {out_rows, child.est.cost + alg_cost};
       result.line = plan->AddLine(d.alg, WithTop("", top), result.prop,
                                   result.est, {child.line});
       const Meter m = NewMeter(plan, result.line, ctrs);
@@ -1101,7 +1106,7 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
         break;
       }
       result.prop = d.out;
-      result.est = {WithinLimit(out_rows, limit), child.est.cost + sort_cost};
+      result.est = {out_rows, child.est.cost + sort_cost};
       result.line = plan->AddLine(d.alg, WithTop("", limit), result.prop,
                                   result.est, {child.line});
       const Meter m = NewMeter(plan, result.line, ctrs);
@@ -1150,6 +1155,12 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
     }
   }
 
+  if (limit != 0) {
+    // One rule for every line built under a limit, whether or not its
+    // operator takes it: the parent reads at most `limit` rows of it.
+    result.est.rows = WithinLimit(result.est.rows, limit);
+    plan->CapLineRows(result.line, result.est.rows);
+  }
   OVC_DCHECK(result.op->sorted() == result.prop.sorted());
   OVC_DCHECK(result.op->has_ovc() == result.prop.has_ovc);
   return result;

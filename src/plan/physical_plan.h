@@ -266,6 +266,8 @@ class PhysicalPlan {
               const OrderProperty& prop, const NodeEstimate& est,
               std::vector<int> children,
               const std::string& table = std::string());
+  /// Sets line `line`'s row estimate (and its profile node's) to `rows`.
+  void CapLineRows(int line, double rows);
 
   SplitExchange* OwnSplit(std::unique_ptr<SplitExchange> split) {
     splits_.push_back(std::move(split));
@@ -346,8 +348,9 @@ class Planner {
   /// subtree. It travels only through nodes that keep their input's order
   /// and row count (a limit, a project, an elided sort), down to a sort or
   /// in-sort aggregate -- serial, or each worker under a merging exchange --
-  /// which then produces only that many rows or groups. Estimates ignore
-  /// it, so it never moves a plan choice.
+  /// which then produces only that many rows or groups. The line built
+  /// for `node` estimates at most `limit` rows either way; costs ignore
+  /// the limit, so it never moves a plan choice.
   Built BuildNode(LogicalNode* node, PhysicalPlan* plan, QueryCounters* ctrs,
                   uint64_t limit = 0);
   /// Wraps `child` in a planner-inserted SortOperator metered by `ctrs`,
