@@ -655,8 +655,8 @@ TEST_F(SqlExecTest, GoldenExplain) {
        "site ORDER BY site LIMIT 5",
        4, plan::CostPolicy::kCostBased, false, 0,
        "limit(k=5) [sorted(1)+ovc] {rows=5 cost=76799}\n"
-       "  elided-sort [sorted(1)+ovc] {rows=159 cost=76794}\n"
-       "    merge-exchange(4 workers) [sorted(1)+ovc] {rows=159 cost=76794}\n"
+       "  elided-sort [sorted(1)+ovc] {rows=5 cost=76794}\n"
+       "    merge-exchange(4 workers) [sorted(1)+ovc] {rows=5 cost=76794}\n"
        "      in-stream-aggregate(group=1, per worker) [sorted(1)+ovc] {rows=159 cost=76159}\n"
        "        split-exchange(hash) [sorted(2)+ovc] {rows=2000 cost=73000}\n"
        "          in-sort-distinct [sorted(2)+ovc] {rows=2000 cost=51000}\n"
@@ -668,7 +668,7 @@ TEST_F(SqlExecTest, GoldenExplain) {
       {"SELECT a, b FROM s1 INTERSECT SELECT a, b FROM s2 LIMIT 3",
        1, plan::CostPolicy::kCostBased, false, 0,
        "limit(k=3) [sorted(2)+ovc] {rows=3 cost=78791}\n"
-       "  set-operation(distinct) [sorted(2)+ovc] {rows=788 cost=78788}\n"
+       "  set-operation(distinct) [sorted(2)+ovc] {rows=3 cost=78788}\n"
        "    sort(inserted) [sorted(2)+ovc] {rows=1500 cost=36750}\n"
        "      scan(s1) [unsorted] {rows=1500 cost=1500}\n"
        "    sort(inserted) [sorted(2)+ovc] {rows=1500 cost=36750}\n"
@@ -759,11 +759,12 @@ TEST_F(SqlExecTest, GoldenExplain) {
        0, 0, 1, 4, 5, 101145},
       // It stops at operators that change the row count or need all of
       // their input: a set operation, and an in-stream aggregate over an
-      // in-sort distinct.
+      // in-sort distinct. The line a bare limit reads from still
+      // estimates min(k, N), whether or not its operator takes the limit.
       {"SELECT a, b FROM s1 INTERSECT SELECT a, b FROM s2 LIMIT 3",
        4, plan::CostPolicy::kRuleBased, false, 0,
        "limit(k=3) [sorted(2)+ovc] {rows=3 cost=78791}\n"
-       "  set-operation(distinct) [sorted(2)+ovc] {rows=788 cost=78788}\n"
+       "  set-operation(distinct) [sorted(2)+ovc] {rows=3 cost=78788}\n"
        "    sort(inserted) [sorted(2)+ovc] {rows=1500 cost=36750}\n"
        "      scan(s1) [unsorted] {rows=1500 cost=1500}\n"
        "    sort(inserted) [sorted(2)+ovc] {rows=1500 cost=36750}\n"
@@ -774,8 +775,8 @@ TEST_F(SqlExecTest, GoldenExplain) {
        "site ORDER BY site LIMIT 2",
        1, plan::CostPolicy::kCostBased, false, 0,
        "limit(k=2) [sorted(1)+ovc] {rows=2 cost=85710}\n"
-       "  elided-sort [sorted(1)+ovc] {rows=208 cost=85708}\n"
-       "    in-stream-aggregate(group=1) [sorted(1)+ovc] {rows=208 cost=85708}\n"
+       "  elided-sort [sorted(1)+ovc] {rows=2 cost=85708}\n"
+       "    in-stream-aggregate(group=1) [sorted(1)+ovc] {rows=2 cost=85708}\n"
        "      in-sort-distinct [sorted(2)+ovc] {rows=3000 cost=81000}\n"
        "        project [unsorted] {rows=3000 cost=6000}\n"
        "          scan(hits) [unsorted] {rows=3000 cost=3000}\n",
@@ -784,7 +785,7 @@ TEST_F(SqlExecTest, GoldenExplain) {
       {"SELECT * FROM lineitem LIMIT 7",
        1, plan::CostPolicy::kRuleBased, false, 0,
        "limit(k=7) [unsorted] {rows=7 cost=2007}\n"
-       "  scan(lineitem) [unsorted] {rows=2000 cost=2000}\n",
+       "  scan(lineitem) [unsorted] {rows=7 cost=2000}\n",
        "scan limit",
        0, 0, 0, 0, 7, 2007},
       {"SELECT DISTINCT a, c FROM wide",
