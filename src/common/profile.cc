@@ -285,6 +285,10 @@ std::vector<QueryProfile::CardFeedback> QueryProfile::ScanFeedback() const {
   for (int i = 0; i < static_cast<int>(nodes_.size()); ++i) {
     const Node& n = nodes_[i];
     if (n.table.empty()) continue;
+    // Only a scan that reached its end saw the whole table: one cut short
+    // (under a LIMIT, or a merge join that stopped early) never got the
+    // empty batch that ends a stream.
+    if (n.total.next_calls == n.total.batches_out) continue;
     CardFeedback fb;
     fb.table = n.table;
     fb.est_rows = n.est_rows;

@@ -235,8 +235,8 @@ class QueryProfile {
   /// tree (per node: label, estimates, actuals, counters, children).
   std::string ToJson() const;
 
-  /// Estimate-versus-actual cardinality per scan node, for TableStats
-  /// feedback.
+  /// Estimate-versus-actual cardinality per scan node that read its whole
+  /// table in the last run, for TableStats feedback.
   struct CardFeedback {
     std::string table;
     double est_rows = 0;

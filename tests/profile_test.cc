@@ -465,6 +465,39 @@ TEST_F(SqlProfileTest, FeedbackFlowsIntoTableStats) {
   EXPECT_EQ(lineitem->source.stats.feedback_runs, 1u);
 }
 
+TEST_F(SqlProfileTest, ScanCutShortByLimitFeedsNothingBack) {
+  // A LIMIT stops its scan after a few rows. Feeding those rows back as
+  // the table's size would make the next plan believe a 100000-row table
+  // holds 5 rows (and flip DISTINCT to a hash plan sized for it).
+  sql::Catalog catalog;
+  sql::Catalog::GeneratedSpec spec;
+  spec.distinct_per_column = 1000;
+  spec.seed = 9;
+  ASSERT_TRUE(catalog
+                  .RegisterGenerated("t", {"a", "b", "c"}, Schema(2, 1),
+                                     100000, spec)
+                  .ok());
+  plan::PlanExecutor::Options options;
+  options.planner.hash_memory_rows = 5000;
+  const std::string distinct = "SELECT DISTINCT a, b FROM t";
+  sql::SqlSession fresh(&catalog, options);
+  sql::SqlResult<std::string> want = fresh.Explain(distinct);
+  ASSERT_TRUE(want.ok());
+
+  sql::SqlSession session(&catalog, options);
+  ASSERT_TRUE(session.Run("EXPLAIN ANALYZE SELECT a, c FROM t LIMIT 5").ok());
+  EXPECT_EQ(session.table_feedback().count("t"), 0u);
+  session.ApplyFeedbackTo(&catalog);
+  sql::SqlResult<std::string> got = session.Explain(distinct);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.value(), want.value());
+
+  // A scan that reads the whole table still feeds back.
+  ASSERT_TRUE(session.Run("EXPLAIN ANALYZE SELECT a, c FROM t").ok());
+  ASSERT_EQ(session.table_feedback().count("t"), 1u);
+  EXPECT_DOUBLE_EQ(session.table_feedback().at("t").actual_rows, 100000.0);
+}
+
 TEST_F(SqlProfileTest, FeedbackFlipsJoinFromGraceHashToMergeAfterOneRun) {
   // The planner-consumes-feedback loop, end to end: the catalog lies that
   // both join inputs are tiny, so the cost-based planner picks grace hash
