@@ -6,22 +6,23 @@
 
 namespace ovc {
 
-namespace {
-
 /// Operator view of one split partition.
-class SplitPartitionStreamImpl : public Operator {
+class SplitExchange::PartitionStream final : public Operator {
  public:
-  SplitPartitionStreamImpl(SplitExchange* exchange, uint32_t index,
-                           const Schema* schema, bool sorted, bool has_ovc)
+  PartitionStream(SplitExchange* exchange, uint32_t index,
+                  const Schema* schema, bool sorted, bool has_ovc)
       : exchange_(exchange),
         index_(index),
         schema_(schema),
         sorted_(sorted),
         has_ovc_(has_ovc) {}
 
-  void Open() override;
-  uint32_t NextBatch(RowBlock* out) override;
-  void Close() override;
+  void Open() override { exchange_->StreamOpen(index_); }
+  uint32_t NextBatch(RowBlock* out) override {
+    OVC_DCHECK(out->width() == schema_->total_columns());
+    return exchange_->NextRows(index_, out);
+  }
+  void Close() override { exchange_->StreamClose(index_); }
   const Schema& schema() const override { return *schema_; }
   bool sorted() const override { return sorted_; }
   bool has_ovc() const override { return has_ovc_; }
@@ -34,65 +35,24 @@ class SplitPartitionStreamImpl : public Operator {
   bool has_ovc_;
 };
 
-}  // namespace
-
-// SplitPartitionStreamImpl needs SplitExchange internals; the friend
-// declaration names SplitPartitionStream, so route through member helpers.
-class SplitPartitionStream {
- public:
-  static void Open(SplitExchange* ex, uint32_t index) {
-    ex->StreamOpen(index);
-  }
-  static void Close(SplitExchange* ex, uint32_t index) {
-    ex->StreamClose(index);
-  }
-  static uint32_t NextBatch(SplitExchange* ex, uint32_t index, RowBlock* out) {
-    return ex->NextRows(index, out);
-  }
-};
-
-namespace {
-
-void SplitPartitionStreamImpl::Open() {
-  SplitPartitionStream::Open(exchange_, index_);
-}
-
-uint32_t SplitPartitionStreamImpl::NextBatch(RowBlock* out) {
-  OVC_DCHECK(out->width() == schema_->total_columns());
-  return SplitPartitionStream::NextBatch(exchange_, index_, out);
-}
-
-void SplitPartitionStreamImpl::Close() {
-  SplitPartitionStream::Close(exchange_, index_);
-}
-
-}  // namespace
-
 SplitExchange::SplitExchange(Operator* child, uint32_t partitions,
                              Policy policy, QueryCounters* counters,
-                             std::vector<uint64_t> range_bounds,
                              uint32_t hash_prefix)
     : child_(child),
       policy_(policy),
       counters_(counters),
-      range_bounds_(std::move(range_bounds)),
       hash_prefix_(hash_prefix == 0 ? child->schema().key_arity()
                                     : hash_prefix),
       child_has_ovc_(child->sorted() && child->has_ovc()),
       pump_block_(child->schema().total_columns()) {
   OVC_CHECK(partitions >= 1);
   OVC_CHECK(hash_prefix_ <= child->schema().key_arity());
-  if (policy == Policy::kRangeFirstColumn) {
-    OVC_CHECK(range_bounds_.size() + 1 == partitions);
-    // Range routing reads the first key column of a stream ordered on it.
-    OVC_CHECK(child->sorted());
-  }
   for (uint32_t p = 0; p < partitions; ++p) {
     auto state =
         std::make_unique<PartitionState>(child->schema().total_columns());
     state->acc.Reset();
     states_.push_back(std::move(state));
-    streams_.push_back(std::make_unique<SplitPartitionStreamImpl>(
+    streams_.push_back(std::make_unique<PartitionStream>(
         this, p, &child->schema(), child->sorted(), child_has_ovc_));
   }
   stream_closed_.assign(partitions, false);
@@ -141,12 +101,6 @@ uint32_t SplitExchange::RouteOf(const uint64_t* row) {
           HashKeyPrefix(row, hash_prefix_, counters_) % p_count);
     case Policy::kRoundRobin:
       return static_cast<uint32_t>(round_robin_next_++ % p_count);
-    case Policy::kRangeFirstColumn: {
-      const uint64_t v = child_->schema().NormalizedAt(row, 0);
-      uint32_t p = 0;
-      while (p < range_bounds_.size() && v >= range_bounds_[p]) ++p;
-      return p;
-    }
   }
   return 0;
 }

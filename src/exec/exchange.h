@@ -63,18 +63,13 @@ class SplitExchange {
   enum class Policy {
     kHashKey,     // co-locates equal keys (partition by key-prefix hash)
     kRoundRobin,  // balances rows
-    kRangeFirstColumn,  // range-partitions on the first key column
   };
 
-  /// For kRangeFirstColumn, `range_bounds` holds partitions-1 ascending
-  /// upper bounds (exclusive) on the first key column. For kHashKey,
-  /// `hash_prefix` is the number of leading key columns hashed (0 = the
-  /// child's full key arity); co-locating aggregation groups hashes only
-  /// the grouping prefix.
+  /// For kHashKey, `hash_prefix` is the number of leading key columns
+  /// hashed (0 = the child's full key arity); co-locating aggregation
+  /// groups hashes only the grouping prefix.
   SplitExchange(Operator* child, uint32_t partitions, Policy policy,
-                QueryCounters* counters,
-                std::vector<uint64_t> range_bounds = {},
-                uint32_t hash_prefix = 0);
+                QueryCounters* counters, uint32_t hash_prefix = 0);
 
   /// The i-th partition stream. All partitions share the child; rows for
   /// not-yet-consumed partitions are buffered in memory.
@@ -83,7 +78,7 @@ class SplitExchange {
   uint32_t partitions() const { return static_cast<uint32_t>(states_.size()); }
 
  private:
-  friend class SplitPartitionStream;
+  class PartitionStream;
 
   /// Per-partition buffered rows. Chunked so that consumed rows are freed
   /// chunk by chunk while the partition keeps buffering.
@@ -146,7 +141,6 @@ class SplitExchange {
   Operator* child_;
   Policy policy_;
   QueryCounters* counters_;
-  std::vector<uint64_t> range_bounds_;
   uint32_t hash_prefix_;
   bool child_has_ovc_;
   /// Fixed at construction (never resized); the PartitionState *contents*

@@ -456,8 +456,6 @@ const char* SplitPolicyName(SplitExchange::Policy policy) {
       return "hash";
     case SplitExchange::Policy::kRoundRobin:
       return "round-robin";
-    case SplitExchange::Policy::kRangeFirstColumn:
-      return "range";
   }
   return "unknown";
 }
@@ -655,8 +653,7 @@ Planner::Built Planner::BuildExchangeRegion(
     const Meter routing =
         NewMeter(plan, split_lines.back(), input_counters[c]);
     splits.push_back(plan->OwnSplit(std::make_unique<SplitExchange>(
-        inputs[c].op, workers, policy, routing.ctrs,
-        std::vector<uint64_t>{}, hash_prefix)));
+        inputs[c].op, workers, policy, routing.ctrs, hash_prefix)));
   }
   worker_est.cost += alg_cost;
   const int worker_line = plan->AddLine(

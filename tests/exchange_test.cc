@@ -78,12 +78,8 @@ TEST_P(SplitExchangeTest, PartitionsAreValidStreamsCoveringInput) {
   RowBuffer table = MakeTable(schema, 1200, 4, /*seed=*/91, /*sorted=*/true);
   InMemoryRun run = RunFromSorted(schema, table);
   RunScan scan(&schema, &run);
-  std::vector<uint64_t> bounds;
-  if (p.policy == SplitExchange::Policy::kRangeFirstColumn) {
-    for (uint32_t b = 1; b < p.partitions; ++b) bounds.push_back(b);
-  }
   QueryCounters counters;
-  SplitExchange split(&scan, p.partitions, p.policy, &counters, bounds);
+  SplitExchange split(&scan, p.partitions, p.policy, &counters);
 
   RowVec all;
   for (uint32_t i = 0; i < p.partitions; ++i) {
@@ -101,7 +97,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         SplitParam{SplitExchange::Policy::kHashKey, 4, "hash4"},
         SplitParam{SplitExchange::Policy::kRoundRobin, 3, "roundrobin3"},
-        SplitParam{SplitExchange::Policy::kRangeFirstColumn, 4, "range4"},
         SplitParam{SplitExchange::Policy::kHashKey, 1, "hash1"}),
     [](const ::testing::TestParamInfo<SplitParam>& info) {
       return info.param.name;
