@@ -9,15 +9,14 @@
 //  * kPartition -- the classic grace behavior: spill both inputs to hash
 //    partitions and recurse. Every row is written and re-read at least
 //    once per level; a badly skewed key can re-partition repeatedly.
-//    This is the pre-fallback behavior and stays the default for directly
-//    constructed operators (benchmarks that *measure* the hash plan's
-//    spill cost must keep it).
+//    Benchmarks that *measure* the hash plan's spill cost name it.
 //  * kSortMerge -- degrade to the sort-based plan from the point of
 //    failure: the rows already consumed plus the unread remainder feed an
 //    ExternalSort (which spills with prefix-truncated, coded runs), and
 //    the result is joined/aggregated by merge logic with the paper's
 //    comparison savings. Bounded: one sort per input, no recursion.
-//    Planner-built plans default to this (PlannerOptions::fallback).
+//    The default everywhere: PlannerOptions::fallback and the
+//    GraceHashJoin and HashAggregate constructors.
 
 #ifndef OVC_EXEC_FALLBACK_POLICY_H_
 #define OVC_EXEC_FALLBACK_POLICY_H_

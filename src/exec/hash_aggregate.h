@@ -1,11 +1,16 @@
 // Hash aggregation baseline with spilling (Figure 5's hash-based plan).
 //
 // Hybrid hashing: groups accumulate in an in-memory table until the memory
-// budget is reached; rows whose group is not already resident then spill to
-// hash partitions on temporary storage, and each partition is aggregated in
-// memory afterwards. Output is unordered and carries no offset-value codes
-// -- which is precisely why the hash-based plan of Figure 5 needs *three*
-// blocking operators where the sort-based plan needs two.
+// budget is reached. Under FallbackPolicy::kPartition, rows whose group is
+// not already resident then spill to kHashPartitions hash partitions on
+// temporary storage (through PartitionWriters, shared with the grace hash
+// join), and each partition is aggregated in memory afterwards; the
+// default, kSortMerge, degrades to in-sort aggregation instead. Every
+// group's state row is seeded with MakeStateRow and folded with
+// FoldStateRow, like the in-stream aggregate's. Output is unordered and
+// carries no offset-value codes -- which is precisely why the hash-based
+// plan of Figure 5 needs *three* blocking operators where the sort-based
+// plan needs two.
 
 #ifndef OVC_EXEC_HASH_AGGREGATE_H_
 #define OVC_EXEC_HASH_AGGREGATE_H_
@@ -29,9 +34,9 @@ namespace ovc {
 /// Hash-based grouping and aggregation with a row budget and grace-style
 /// partition spilling. Blocking: consumes its child in Open().
 ///
-/// Graceful degradation: with FallbackPolicy::kSortMerge, a group table
-/// that overflows `memory_groups` mid-Open degrades to in-sort aggregation
-/// instead of recursive partitioning: the resident partial-aggregate state
+/// Graceful degradation: with FallbackPolicy::kSortMerge (the default), a
+/// group table that overflows `memory_groups` mid-Open degrades to in-sort
+/// aggregation instead of recursive partitioning: the resident state
 /// rows plus every remaining input row (as a one-row state, MakeStateRow)
 /// feed one collapsing ExternalSort on the group key, which folds
 /// key-duplicate states at run generation, at every merge and at the final

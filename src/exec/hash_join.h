@@ -7,10 +7,13 @@
 // nested-loops join." Output codes follow the filter theorem over the
 // probe stream, with duplicate codes for additional matches.
 //
-// Grace: when the build input exceeds its memory budget, both inputs are
-// hash-partitioned to temporary storage and each partition pair is joined
+// Grace: when the build input exceeds its memory budget under
+// FallbackPolicy::kPartition, both inputs are hash-partitioned to
+// temporary storage (kHashPartitions ways, through PartitionWriters, which
+// the hash aggregate spills through too) and each partition pair is joined
 // in memory -- every row of both inputs is spilled once, which is exactly
-// the behavior Figure 6's discussion charges the hash-based plan for.
+// the behavior Figure 6's discussion charges the hash-based plan for. The
+// default policy, kSortMerge, finishes by sort+merge instead.
 
 #ifndef OVC_EXEC_HASH_JOIN_H_
 #define OVC_EXEC_HASH_JOIN_H_
@@ -147,9 +150,10 @@ class OrderPreservingHashJoin : public Operator {
 /// when the build side exceeds memory. Blocking: consumes both children in
 /// Open().
 ///
-/// Graceful degradation: with FallbackPolicy::kSortMerge, a build side that
-/// overflows `memory_rows` mid-Open does NOT trigger recursive partition
-/// thrashing. Instead the rows already consumed plus the unread remainder
+/// Graceful degradation: with FallbackPolicy::kSortMerge (the default), a
+/// build side that overflows `memory_rows` mid-Open does NOT trigger
+/// recursive partition thrashing. Instead the rows already consumed plus
+/// the unread remainder
 /// feed an ExternalSort on the join key (spilling coded, prefix-truncated
 /// runs), the probe stream is sorted the same way, and a MergeJoin
 /// continuation finishes the query with the paper's comparison savings.
@@ -157,8 +161,8 @@ class OrderPreservingHashJoin : public Operator {
 /// output keeps this operator's layout, so callers cannot tell the plans
 /// apart except by the counters (and the row order).
 ///
-/// With FallbackPolicy::kPartition a partition pair whose build rows still
-/// overflow is split again with the next level's salted hash. A pair past
+/// With FallbackPolicy::kPartition both inputs split kHashPartitions ways,
+/// and a partition pair whose build rows still overflow is split again with the next level's salted hash. A pair past
 /// kMaxPartitionLevel, or made by a split that made no progress (it left
 /// every build row in that one pair), finishes through the same sort+merge
 /// continuation, fed from its two partition files, and counts in
