@@ -148,6 +148,7 @@ bool HashAggregate::ProcessNextPartition() {
     // Runaway-recursion guard: with level-salted partitioning, each level
     // divides distinct keys by the fan-out; eight levels cover any input.
     OVC_CHECK(pending.level <= 8);
+    output_queue_.Clear();
     queue_pos_ = 0;
 
     PartitionWriters parts(&child_->schema(), group_prefix_, "hagg-part",
