@@ -13,6 +13,7 @@
 #include "common/counters.h"
 #include "common/failpoint.h"
 #include "common/temp_file.h"
+#include "exec/hash_aggregate.h"
 #include "exec/hash_join.h"
 #include "exec/scan.h"
 #include "plan/plan_executor.h"
@@ -193,6 +194,47 @@ TEST_F(FailpointTest, FailedOpenDuringRepartitionDegradesCleanly) {
   ASSERT_FALSE(error.ok());
   EXPECT_NE(error.ToString().find("injected"), std::string::npos)
       << error.ToString();
+}
+
+TEST_F(FailpointTest, FailedSpillFileAtEveryGraceSplitDegradesCleanly) {
+  SKIP_WITHOUT_FAILPOINTS();
+  // A kPartition grace join whose level-0 pairs re-split, and a hash
+  // aggregate that re-spills recursively, with one temp-file open or write
+  // failing at a time: in the level-0 build or probe split, or in a
+  // deeper one. Each must record the error and end its output.
+  Schema ps(1, 1), bs(1, 1), as(2, 1);
+  RowBuffer pt = MakeTable(ps, 500, 1000, /*seed=*/31);
+  RowBuffer bt = MakeTable(bs, 2000, 1000, /*seed=*/32);
+  RowBuffer at = MakeTable(as, 5000, 30, /*seed=*/33);
+  for (const char* point : {"tempfile.open", "tempfile.write"}) {
+    for (uint64_t skip : {0, 7, 16, 20, 32, 40}) {
+      SCOPED_TRACE(std::string(point) + " after " + std::to_string(skip));
+      {
+        BufferScan pscan(&ps, &pt), bscan(&bs, &bt);
+        QueryCounters counters;
+        TempFileManager temp;
+        GraceHashJoin join(&pscan, &bscan, /*bind_columns=*/1,
+                           JoinTypeHash::kInner, /*memory_rows=*/64,
+                           &counters, &temp, FallbackPolicy::kPartition);
+        failpoint::Arm(point, skip);
+        DrainValidated(&join, /*check_codes=*/false);
+        failpoint::DisarmAll();
+        EXPECT_FALSE(temp.first_error().ok());
+      }
+      {
+        BufferScan scan(&as, &at);
+        QueryCounters counters;
+        TempFileManager temp;
+        HashAggregate agg(&scan, /*group_prefix=*/2, {{AggFn::kCount, 0}},
+                          /*memory_groups=*/16, &counters, &temp,
+                          FallbackPolicy::kPartition);
+        failpoint::Arm(point, skip);
+        DrainValidated(&agg, /*check_codes=*/false);
+        failpoint::DisarmAll();
+        EXPECT_FALSE(temp.first_error().ok());
+      }
+    }
+  }
 }
 
 TEST_F(FailpointTest, ForcedJoinOverflowFallsBackDeterministically) {
