@@ -102,12 +102,6 @@ Schema HashJoinOutputSchema(const Schema& probe, const Schema& build,
                 probe.payload_columns() + build.total_columns() + 1);
 }
 
-/// The first failure of a split's two sides (Ok when both are fine).
-Status FirstError(const PartitionWriters& build,
-                  const PartitionWriters& probe) {
-  return build.ok() ? probe.status() : build.status();
-}
-
 /// Operator facade over a finished ExternalSort: a sorted, coded stream
 /// the MergeJoin continuation can pull. The schema reinterprets the
 /// sorted rows with the join key as the full key prefix.
@@ -496,7 +490,7 @@ void GraceHashJoin::QueueSplit(PartitionWriters* build,
     pending_.push_back(PartitionPair{probe->path(p), build->path(p), level,
                                      build->rows(p) == build_rows});
   }
-  const Status st = FirstError(*build, *probe);
+  const Status st = build->ok() ? probe->status() : build->status();
   if (!st.ok()) Degrade(st);
 }
 
@@ -523,11 +517,6 @@ void GraceHashJoin::Repartition(const PartitionPair& pair) {
                          counters_, temp_);
   for (uint32_t p = 0; p < kHashPartitions; ++p) {
     if (!build.OpenNext() || !probe.OpenNext()) break;
-  }
-  const Status st = FirstError(build, probe);
-  if (!st.ok()) {
-    Degrade(st);
-    return;
   }
   if (SplitRun(pair.build_path, pair.level, &build) &&
       SplitRun(pair.probe_path, pair.level, &probe)) {

@@ -209,7 +209,7 @@ class GraceHashJoin : public Operator {
   /// Splits a partition pair into kHashPartitions sub-pairs at level+1.
   void Repartition(const PartitionPair& pair);
   /// Routes every row of run file `path` through `parts` at `level`; false
-  /// (degraded) when the file cannot be read or a write fails.
+  /// (degraded) when the file cannot be opened or `parts` fails.
   bool SplitRun(const std::string& path, uint32_t level,
                 PartitionWriters* parts);
   /// Closes a finished split's files pair by pair and queues the pairs at

@@ -513,7 +513,7 @@ int PhysicalPlan::AddLine(PhysicalAlg alg, const std::string& detail,
   return line;
 }
 
-void PhysicalPlan::CapLineRows(int line, double rows) {
+void PhysicalPlan::SetLineRows(int line, double rows) {
   lines_[line].est.rows = rows;
   if (profile_) profile_->SetEstRows(line, rows);
 }
@@ -1156,7 +1156,7 @@ Planner::Built Planner::BuildNode(LogicalNode* node, PhysicalPlan* plan,
     // One rule for every line built under a limit, whether or not its
     // operator takes it: the parent reads at most `limit` rows of it.
     result.est.rows = WithinLimit(result.est.rows, limit);
-    plan->CapLineRows(result.line, result.est.rows);
+    plan->SetLineRows(result.line, result.est.rows);
   }
   OVC_DCHECK(result.op->sorted() == result.prop.sorted());
   OVC_DCHECK(result.op->has_ovc() == result.prop.has_ovc);

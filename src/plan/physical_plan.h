@@ -267,7 +267,7 @@ class PhysicalPlan {
               std::vector<int> children,
               const std::string& table = std::string());
   /// Sets line `line`'s row estimate (and its profile node's) to `rows`.
-  void CapLineRows(int line, double rows);
+  void SetLineRows(int line, double rows);
 
   SplitExchange* OwnSplit(std::unique_ptr<SplitExchange> split) {
     splits_.push_back(std::move(split));
