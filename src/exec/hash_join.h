@@ -162,11 +162,11 @@ class OrderPreservingHashJoin : public Operator {
 /// apart except by the counters (and the row order).
 ///
 /// With FallbackPolicy::kPartition both inputs split kHashPartitions ways,
-/// and a partition pair whose build rows still overflow is split again with the next level's salted hash. A pair past
-/// kMaxPartitionLevel, or made by a split that made no progress (it left
-/// every build row in that one pair), finishes through the same sort+merge
-/// continuation, fed from its two partition files, and counts in
-/// hash_join_fallbacks too. A split makes no progress when one key holds
+/// and a partition pair whose build rows still overflow is split again
+/// with the next level's salted hash. A pair past kMaxPartitionLevel, or
+/// made by a split that made no progress (it left every build row in that
+/// one pair), finishes through the same sort+merge continuation, fed from
+/// its two partition files, and counts in hash_join_fallbacks too. A split makes no progress when one key holds
 /// more than `memory_rows` rows, and rarely when a few keys collide under
 /// that level's salt; either way the join result is the same.
 class GraceHashJoin : public Operator {
