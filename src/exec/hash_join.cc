@@ -44,22 +44,17 @@ PartitionWriters::PartitionWriters(const Schema* schema, uint32_t key_columns,
       temp_(temp),
       codec_(schema) {}
 
-bool PartitionWriters::OpenNext() {
-  if (!ok()) return false;
-  paths_.push_back(temp_->NewPath(tag_));
-  writers_.push_back(std::make_unique<RunFileWriter>(schema_, counters_));
-  return Record(writers_.back()->Open(paths_.back()));
-}
-
 bool PartitionWriters::OpenAll() {
-  while (opened() < kHashPartitions) {
-    if (!OpenNext()) return false;
+  while (ok() && opened() < kHashPartitions) {
+    paths_.push_back(temp_->NewPath(tag_));
+    writers_.push_back(std::make_unique<RunFileWriter>(schema_, counters_));
+    Record(writers_.back()->Open(paths_.back()));
   }
-  return true;
+  return ok();
 }
 
 bool PartitionWriters::Append(const uint64_t* row, uint32_t level) {
-  if (!ok() || (writers_.empty() && !OpenAll())) return false;
+  if (!OpenAll()) return false;
   uint64_t h = HashKeyPrefix(row, key_columns_, counters_);
   h ^= 0x9e3779b97f4a7c15ULL * (level + 1);
   h ^= h >> 29;
@@ -509,14 +504,15 @@ bool GraceHashJoin::SplitRun(const std::string& path, uint32_t level,
 
 void GraceHashJoin::Repartition(const PartitionPair& pair) {
   // Too many build rows collided into this partition: split it (and its
-  // probe counterpart) with the next level's salted hash. The sub-pairs'
-  // files are created pairwise, in partition order.
+  // probe counterpart) with the next level's salted hash. Both sides get
+  // all their files before either run is read.
   PartitionWriters build(&build_->schema(), bind_columns_, "ghj-build",
                          counters_, temp_);
   PartitionWriters probe(&probe_->schema(), bind_columns_, "ghj-probe",
                          counters_, temp_);
-  for (uint32_t p = 0; p < kHashPartitions; ++p) {
-    if (!build.OpenNext() || !probe.OpenNext()) break;
+  if (!build.OpenAll() || !probe.OpenAll()) {
+    Degrade(build.ok() ? probe.status() : build.status());
+    return;
   }
   if (SplitRun(pair.build_path, pair.level, &build) &&
       SplitRun(pair.probe_path, pair.level, &probe)) {

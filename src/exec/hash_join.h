@@ -53,10 +53,10 @@ bool KeysEqual(const uint64_t* a, const uint64_t* b, uint32_t columns,
 /// One grace split: kHashPartitions run files of `schema` rows, each row
 /// routed by a level-salted hash of its first `key_columns` columns (the
 /// salt makes a re-split separate keys that shared a partition one level
-/// up). Files are created in partition order, by OpenNext/OpenAll or, if
-/// none is open yet, by the first Append. The first failed open, append or
-/// close is kept in status(); every later call then does nothing and
-/// returns false.
+/// up). Files are created all at once, in partition order, by OpenAll or
+/// by the first Append. The first failed open, append or close is kept in
+/// status(); every later call then does nothing and returns false, so a
+/// set that is ok() has either no file or all of them.
 class PartitionWriters {
  public:
   /// `tag` names the temp files; `schema` must outlive the set.
@@ -64,8 +64,6 @@ class PartitionWriters {
                    const char* tag, QueryCounters* counters,
                    TempFileManager* temp);
 
-  /// Creates and opens the next partition's file.
-  bool OpenNext();
   /// Creates and opens every partition's file not open yet.
   bool OpenAll();
   /// Appends `row` to the partition of its level-`level` hash.

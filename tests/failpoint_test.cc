@@ -201,13 +201,15 @@ TEST_F(FailpointTest, FailedSpillFileAtEveryGraceSplitDegradesCleanly) {
   // A kPartition grace join whose level-0 pairs re-split, and a hash
   // aggregate that re-spills recursively, with one temp-file open or write
   // failing at a time: in the level-0 build or probe split, or in a
-  // deeper one. Each must record the error and end its output.
+  // deeper one. Each must record the error and end its output. The join's
+  // first re-split makes opens 32-47 (its build files) and 48-63 (its
+  // probe files).
   Schema ps(1, 1), bs(1, 1), as(2, 1);
   RowBuffer pt = MakeTable(ps, 500, 1000, /*seed=*/31);
   RowBuffer bt = MakeTable(bs, 2000, 1000, /*seed=*/32);
   RowBuffer at = MakeTable(as, 5000, 30, /*seed=*/33);
   for (const char* point : {"tempfile.open", "tempfile.write"}) {
-    for (uint64_t skip : {0, 7, 16, 20, 32, 40}) {
+    for (uint64_t skip : {0, 7, 16, 20, 32, 33, 40, 41, 48, 55}) {
       SCOPED_TRACE(std::string(point) + " after " + std::to_string(skip));
       {
         BufferScan pscan(&ps, &pt), bscan(&bs, &bt);
