@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "common/check.h"
 #include "common/failpoint.h"
 #include "common/metrics.h"
 #include "common/trace.h"
@@ -54,7 +55,8 @@ bool PartitionWriters::OpenAll() {
 }
 
 bool PartitionWriters::Append(const uint64_t* row, uint32_t level) {
-  if (!OpenAll()) return false;
+  if (!ok() || (writers_.empty() && !OpenAll())) return false;
+  OVC_DCHECK(opened() == kHashPartitions);
   uint64_t h = HashKeyPrefix(row, key_columns_, counters_);
   h ^= 0x9e3779b97f4a7c15ULL * (level + 1);
   h ^= h >> 29;
